@@ -4,9 +4,10 @@ Lowering to the native gate set, with and without neighbour constraints
 
 synth_native runs the whole pipeline: build, optimize, (optionally)
 route for a linear chain, then lower every abstract gate to
-{CX, Rz, SX, X, ID} and schedule the result.  The returned object keeps
-enough provenance to verify the hardware-level circuit against the same
-brute-force oracle the abstract one was checked against.
+{CX, Rz, SX, X} by its rule in `LOWERING` and schedule the result.  The
+returned object keeps enough provenance to verify the hardware-level
+circuit against the same brute-force oracle the abstract one was checked
+against.
 """
 
 import numpy as np

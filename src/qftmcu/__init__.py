@@ -8,7 +8,6 @@ everything against brute-force oracles.
 from .circuit import (
     Circuit,
     Gate,
-    MetricsReport,
     count_classes,
     count_gates,
     from_json,

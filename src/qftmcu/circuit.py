@@ -21,6 +21,7 @@ Two scheduling refinements mirror how the synthesis blocks are drawn:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 GATE_KINDS = frozenset(
@@ -31,6 +32,10 @@ GATE_KINDS = frozenset(
 )
 
 TWO_QUBIT = frozenset({"CX", "CP", "CRz", "CRx", "CU2", "SWAP"})
+
+#: block labels of the increment and decrement halves (see qftmcu.synthesis)
+BLOCK_PLUS = "+1"
+BLOCK_MINUS = "-1"
 
 #: kinds whose params list is (angle,) and whose inverse negates it
 _ANGLE_KINDS = frozenset({"Rz", "Ry", "P", "Rx", "CP", "CRz", "CRx"})
@@ -100,13 +105,6 @@ class Circuit:
             if not 1 <= w <= self.n:
                 raise ValueError(f"gate {gate.kind} touches wireline {w} outside 1..{self.n}")
         self.gates.append(gate)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    abstract_slots: int
-    counts: dict
-    native_depth: int | None = None
 
 
 def schedule_slots(circ: Circuit) -> tuple[int, list[int]]:
@@ -236,8 +234,6 @@ def from_json(text: str) -> Circuit:
 
 def normalize_angle(x: float) -> float:
     """Fold an angle into (-pi, pi]."""
-    import math
-
     y = math.fmod(x, 2 * math.pi)
     if y > math.pi:
         y -= 2 * math.pi

@@ -19,23 +19,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .circuit import count_gates, schedule_slots, to_json
-from .gate_algebra import identity_battery, random_unitary
+from .gate_algebra import NAMED_GATES, identity_battery, random_unitary, u2_mat
 from .layout import ARCHES, native_metrics, synth_native
 from .optimizer import PASSES
 from .synthesis import METHODS, SynthConfig, build
 from .verifier import verify_mcu
-
-NAMED_GATES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-}
 
 CSV_COLUMNS = (
     "n", "method", "arch", "aqft_cutoff", "abstract_slots", "native_depth",
@@ -86,8 +79,6 @@ def _resolve_u(args: argparse.Namespace, method: str) -> np.ndarray | None:
             d, a, t, b = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"non-numeric angle in {args.angles!r}") from None
-        from .gate_algebra import u2_mat
-
         return u2_mat(d, a, t, b)
     return random_unitary(np.random.default_rng(args.seed))
 
@@ -149,16 +140,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     reports = []
     for name in names:
         circ, rep = PASSES[name](circ)
-        reports.append({
-            "pass": name,
-            "gates_before": rep.gates_before,
-            "gates_after": rep.gates_after,
-            "slots_before": rep.slots_before,
-            "slots_after": rep.slots_after,
-            "phase_shift": rep.phase_shift,
-            "refused": rep.refused,
-            "detail": rep.detail,
-        })
+        row = asdict(rep)
+        del row["name"]
+        reports.append({"pass": name, **row})
     payload = _circuit_payload(circ, args, u)
     payload["passes"] = reports
     _emit(_dump_json(payload), args.out)

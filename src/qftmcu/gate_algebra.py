@@ -108,12 +108,19 @@ def zyz_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     return d, a, t, b
 
 
+def abc_split(a: float, t: float, b: float) -> tuple[tuple[float, ...], ...]:
+    """U2 parameters of (A, B, C) with A B C = I and Rz(a) Ry(t) Rz(b) = A X B X C.
+
+    Barenco et al., PRA 52:3457 (1995): A = Rz(a) Ry(t/2),
+    B = Ry(-t/2) Rz(-(a+b)/2), C = Rz((b-a)/2).
+    """
+    return (0.0, a, t / 2, 0.0), (0.0, 0.0, -t / 2, -(a + b) / 2), (0.0, 0.0, 0.0, (b - a) / 2)
+
+
 def abc_decompose(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Matrices (A, B, C) and phase d with A B C = I and u = e^{id} A X B X C."""
     d, a, t, b = zyz_decompose(u)
-    mat_a = rz_mat(a) @ ry_mat(t / 2)
-    mat_b = ry_mat(-t / 2) @ rz_mat(-(a + b) / 2)
-    mat_c = rz_mat((b - a) / 2)
+    mat_a, mat_b, mat_c = (u2_mat(*par) for par in abc_split(a, t, b))
     return mat_a, mat_b, mat_c, d
 
 

@@ -11,22 +11,13 @@ physical layout instead of undoing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    Gate,
-    count_gates,
-    cx,
-    normalize_angle,
-    rz,
-    schedule_slots,
-    swap,
-    sx,
-    x,
-)
+from .circuit import Circuit, Gate, normalize_angle, rz, schedule_slots, swap
+from .gate_algebra import abc_split
+from .synthesis import expected_counts
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,25 +121,83 @@ class NativeCircuit:
         return Circuit(self.width, list(self.gates))
 
 
-def _emit_rz(out: list[Gate], angle: float, t: int) -> float:
-    """Append an Rz, folding full turns into a global phase.  Returns the
-    phase contribution (0 or pi per 2-pi wrap)."""
+# -- the lowering table ----------------------------------------------------------
+#
+# Each gate kind maps to a rule: a function of the gate's params that returns
+# its native template, a tuple of steps in time order.  A step is (kind,
+# operand, angle).  Native steps name the operand they act on, _T or _C, the
+# gate's target or control (for a CX, its control; the CX targets the other
+# operand); only Rz steps carry an angle.  A ("phase", None, angle) step adds
+# to the global phase, so the template times e^(i phase) equals the gate.
+# This table is the only place that knows a gate's native cost.
+
+_T, _C = 0, 1
+_PI = math.pi
+
+
+def _u2_steps(d: float, a: float, t: float, b: float) -> tuple:
+    """e^(id) Rz(a) Ry(t) Rz(b) as Rz(b), SX, Rz(pi+t), SX, Rz(pi+a), phase d + pi/2."""
+    return (
+        ("Rz", _T, b), ("phase", None, d + _PI / 2), ("SX", _T, None),
+        ("Rz", _T, _PI + t), ("SX", _T, None), ("Rz", _T, _PI + a),
+    )
+
+
+def _cu2_steps(d: float, a: float, t: float, b: float) -> tuple:
+    """Controlled e^(id) Rz(a) Ry(t) Rz(b) as C, CX, B, CX, A (see abc_split),
+    with the phase d as an Rz on the control."""
+    par_a, par_b, par_c = abc_split(a, t, b)
+    head = (("phase", None, d / 2), ("Rz", _T, par_c[3]), ("Rz", _C, d), ("CX", _C, None))
+    return head + _u2_steps(*par_b) + (("CX", _C, None),) + _u2_steps(*par_a)
+
+
+def _crz_steps(g: float, control: float) -> tuple:
+    """CRz(g), with an Rz(control) on the control wireline (CP(g) is CRz(g)
+    times P(g/2) on the control; a zero angle emits nothing)."""
+    return (
+        ("Rz", _T, g / 2), ("Rz", _C, control), ("CX", _C, None), ("Rz", _T, -g / 2), ("CX", _C, None),
+    )
+
+
+LOWERING = {
+    "Rz": lambda q: (("Rz", _T, q[0]),),
+    "P": lambda q: (("phase", None, q[0] / 2), ("Rz", _T, q[0])),
+    "X": lambda q: (("X", _T, None),),
+    "SX": lambda q: (("SX", _T, None),),
+    "SXdg": lambda q: (("phase", None, _PI / 2), ("Rz", _T, _PI), ("SX", _T, None), ("Rz", _T, _PI)),
+    "H": lambda q: (("phase", None, _PI / 4), ("Rz", _T, _PI / 2), ("SX", _T, None), ("Rz", _T, _PI / 2)),
+    "Ry": lambda q: _u2_steps(0.0, 0.0, q[0], 0.0),
+    "Rx": lambda q: _u2_steps(0.0, -_PI / 2, q[0], _PI / 2),
+    "U2": lambda q: _u2_steps(*q),
+    "CX": lambda q: (("CX", _C, None),),
+    "CP": lambda q: (("phase", None, q[0] / 4),) + _crz_steps(q[0], q[0] / 2),
+    "CRz": lambda q: _crz_steps(q[0], 0.0),
+    "CRx": lambda q: _cu2_steps(0.0, -_PI / 2, q[0], _PI / 2),
+    "CU2": lambda q: _cu2_steps(*q),
+    "SWAP": lambda q: (("CX", _C, None), ("CX", _T, None), ("CX", _C, None)),
+}
+
+
+def _cost(kind: str, native: str) -> int:
+    """How many ``native`` gates (CX, SX or X) the rule for ``kind`` emits.
+    Rz is left out: zero angles are dropped and neighbours merged."""
+    return sum(step[0] == native for step in LOWERING[kind]((1.0,) * 4))
+
+
+def _fold_turns(angle: float) -> tuple[float, float]:
+    """The angle folded into (-pi, pi], and the global phase its full turns
+    carry (0 or pi: Rz(2 pi) = -1)."""
     a = normalize_angle(angle)
-    wraps = round((angle - a) / TWO_PI)
-    phase = math.pi * (wraps % 2)
+    return a, math.pi * (round((angle - a) / TWO_PI) % 2)
+
+
+def _emit_rz(out: list[Gate], angle: float, t: int) -> float:
+    """Append an Rz unless it vanishes; returns its full-turn phase."""
+    if angle == 0.0:  # a template slot the gate leaves empty (CRx has three)
+        return 0.0
+    a, phase = _fold_turns(angle)
     if abs(a) > 1e-12:
         out.append(rz(a, t))
-    return phase
-
-
-def _lower_u2_times(d: float, a: float, t: float, b: float, tgt: int, out: list[Gate]) -> float:
-    """e^(id) Rz(a) Ry(t) Rz(b) as [Rz(b), SX, Rz(pi+t), SX, Rz(pi+a)]."""
-    phase = d + math.pi / 2
-    phase += _emit_rz(out, b, tgt)
-    out.append(sx(tgt))
-    phase += _emit_rz(out, math.pi + t, tgt)
-    out.append(sx(tgt))
-    phase += _emit_rz(out, math.pi + a, tgt)
     return phase
 
 
@@ -227,109 +276,33 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
 
 
 def lower_to_ngs(circ: Circuit) -> NativeCircuit:
-    """Lower every gate to {CX, Rz, SX, X}, tracking the global phase exactly.
+    """Lower every gate to {CX, Rz, SX, X} by its rule in ``LOWERING``,
+    tracking the global phase exactly.
 
-    Single-qubit rules (time order, phase contribution in brackets):
-
-    * H          -> Rz(pi/2) SX Rz(pi/2)                     [pi/4]
-    * P(g)       -> Rz(g)                                    [g/2]
-    * Ry(t)      -> SX Rz(pi+t) SX Rz(pi)                    [pi/2]
-    * Rx(g)      -> Rz(pi/2) SX Rz(pi+g) SX Rz(pi/2)         [pi/2]
-    * U2(d,a,t,b)-> Rz(b) SX Rz(pi+t) SX Rz(pi+a)            [d + pi/2]
-
-    Controlled gates use the standard two-CX conjugation forms; a controlled
-    U2 costs 13 native gates, and CRx routes through the same generic rule
-    with its ZYZ parameters (0, -pi/2, g, pi/2).  SWAP expands to three CX.
     Zero rotations are dropped and adjacent Rz on a wireline are merged, with
-    full turns folded into the phase (Rz(2 pi) = -1).
+    full turns folded into the phase (Rz(2 pi) = -1).  The gates are then
+    reordered by the commutation-aware scheduler.
     """
     out: list[Gate] = []
     phase = 0.0
+    templates: dict = {}  # (kind, params) -> steps; QFT angles repeat across gates
     for g in circ.gates:
-        k = g.kind
-        t = g.target
-        c = g.control
-        if k == "Rz":
-            phase += _emit_rz(out, g.params[0], t)
-        elif k == "P":
-            phase += g.params[0] / 2
-            phase += _emit_rz(out, g.params[0], t)
-        elif k == "X":
-            out.append(x(t))
-        elif k == "SX":
-            out.append(sx(t))
-        elif k == "SXdg":
-            # SXdg = i Rz(pi) SX Rz(pi)
-            phase += math.pi / 2
-            phase += _emit_rz(out, math.pi, t)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi, t)
-        elif k == "H":
-            phase += math.pi / 4
-            phase += _emit_rz(out, math.pi / 2, t)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi / 2, t)
-        elif k == "Ry":
-            phase += math.pi / 2
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi + g.params[0], t)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi, t)
-        elif k == "Rx":
-            phase += math.pi / 2
-            phase += _emit_rz(out, math.pi / 2, t)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi + g.params[0], t)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi / 2, t)
-        elif k == "U2":
-            phase += _lower_u2_times(*g.params, t, out)
-        elif k == "CX":
-            out.append(cx(c, t))
-        elif k == "CP":
-            gam = g.params[0]
-            phase += gam / 4
-            phase += _emit_rz(out, gam / 2, t)
-            phase += _emit_rz(out, gam / 2, c)
-            out.append(cx(c, t))
-            phase += _emit_rz(out, -gam / 2, t)
-            out.append(cx(c, t))
-        elif k == "CRz":
-            gam = g.params[0]
-            phase += _emit_rz(out, gam / 2, t)
-            out.append(cx(c, t))
-            phase += _emit_rz(out, -gam / 2, t)
-            out.append(cx(c, t))
-        elif k in ("CU2", "CRx"):
-            if k == "CRx":
-                d, a, th, b = 0.0, -math.pi / 2, g.params[0], math.pi / 2
+        key = (g.kind, g.params)
+        steps = templates.get(key)
+        if steps is None:
+            if g.kind not in LOWERING:
+                raise ValueError(f"cannot lower gate kind {g.kind!r}")
+            steps = templates[key] = LOWERING[g.kind](g.params)
+        ops = (g.target, g.control)
+        for kind, w, angle in steps:
+            if kind == "Rz":
+                phase += _emit_rz(out, angle, ops[w])
+            elif kind == "phase":
+                phase += angle
+            elif kind == "CX":
+                out.append(Gate("CX", ops[1 - w], control=ops[w]))
             else:
-                d, a, th, b = g.params
-            # controlled version of e^(id) Rz(a) Ry(th) Rz(b) via ABC:
-            #   C = Rz((b-a)/2), B = Ry(-th/2) Rz(-(a+b)/2), A = Rz(a) Ry(th/2)
-            # with the control phase d as an Rz on the control wireline.
-            phase += d / 2
-            phase += _emit_rz(out, (b - a) / 2, t)
-            phase += _emit_rz(out, d, c)
-            out.append(cx(c, t))
-            phase += _emit_rz(out, -(a + b) / 2, t)
-            phase += math.pi / 2  # Ry(-th/2)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi - th / 2, t)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi, t)
-            out.append(cx(c, t))
-            phase += math.pi / 2  # Ry(th/2)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi + th / 2, t)
-            out.append(sx(t))
-            phase += _emit_rz(out, math.pi + a, t)
-        elif k == "SWAP":
-            out.append(cx(c, t))
-            out.append(cx(t, c))
-            out.append(cx(c, t))
-        else:
-            raise ValueError(f"cannot lower gate kind {k!r}")
+                out.append(Gate(kind, ops[w]))
     kept, merge_phase = _merge_rz(out)
     kept = _commute_schedule(kept, circ.n)
     kept, late_phase = _merge_rz(kept)
@@ -345,9 +318,8 @@ def _merge_rz(gates: list[Gate]) -> tuple[list[Gate], float]:
         if g.kind == "Rz":
             i = last.get(g.target)
             if i is not None and out[i] is not None and out[i].kind == "Rz":
-                total = out[i].params[0] + g.params[0]
-                a = normalize_angle(total)
-                phase += math.pi * (round((total - a) / TWO_PI) % 2)
+                a, wrap = _fold_turns(out[i].params[0] + g.params[0])
+                phase += wrap
                 if abs(a) > 1e-12:
                     out[i] = rz(a, g.target)
                 else:
@@ -435,10 +407,12 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 # line-architecture overheads as additive terms.  The metrics report
 # deviations against them.
 #
-# ``model_cx`` on the fully-connected target is derived and exact: it follows
-# from the abstract counts of ``expected_counts`` and the lowering rules (see
-# its comment), and the built circuits meet it on every width.  The other
-# models are reference data, not assertions the builders must meet exactly.
+# ``model_cx`` and ``model_sx`` are derived: the abstract counts of
+# ``expected_counts`` times the per-kind costs of ``LOWERING``.  On the
+# fully-connected target the built circuits (generic payload) meet them on
+# every width; on a line ``model_cx`` adds three CX per ``model_swaps`` SWAP,
+# which the greedy router meets at n=5 only.  ``model_swaps`` and
+# ``model_depth`` are reference data, not assertions the builders must meet.
 # ``model_depth`` in particular has no stated provenance; its mcu-zyz slope
 # of 32 is that of the list-scheduled depth (32n-49), which the
 # commutation-aware scheduler packs to 26n-35.
@@ -457,39 +431,24 @@ def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
     return None
 
 
+def _lowered_count(method: str, n: int, native: str) -> int | None:
+    """Native gates of one kind in the fully-connected circuit: the pinned
+    abstract counts times the per-kind cost of the lowering table.  Exact for
+    CX and SX, which neither Rz merging nor the scheduler removes."""
+    if method not in ("mcu-mod", "mcu-zyz"):
+        return None
+    return sum(c * _cost(kind, native) for kind, c in expected_counts(method, n).items())
+
+
 def model_cx(method: str, n: int, arch: str = "fc") -> int | None:
-    # Lowering emits 2 CX per CP, CRz, CRx and CU2 and 1 per CX, and neither
-    # Rz merging nor the scheduler removes a CX, so on the fully-connected
-    # target the count is 2 CP + 2 CU2 + CX of ``expected_counts``:
-    #   mcu-mod: 4(n-1)(n-3) + 2(2n-3) + 2 = 4(n-1)(n-2)
-    #   mcu-zyz: 4n(n-2) + 2               = 4n^2 - 8n + 2
-    if method == "mcu-mod":
-        m = 4 * (n - 1) * (n - 2)
-        if arch == "lnn":
-            m += 6 * n * n - 18 * n + 14
-        return m
-    if method == "mcu-zyz":
-        m = 4 * n * n - 8 * n + 2
-        if arch == "lnn":
-            m += 6 * n * n - 12 * n + 2
-        return m
-    return None
-
-
-def model_rz(method: str, n: int) -> int | None:
-    if method == "mcu-mod":
-        return 6 * n * n - 8 * n - 13
-    if method == "mcu-zyz":
-        return 6 * n * n - 8 * n - 4
-    return None
+    m = _lowered_count(method, n, "CX")
+    if m is not None and arch == "lnn":
+        m += _cost("SWAP", "CX") * model_swaps(method, n)
+    return m
 
 
 def model_sx(method: str, n: int) -> int | None:
-    if method == "mcu-mod":
-        return 12 * (n - 2)
-    if method == "mcu-zyz":
-        return 4 * (n - 1)
-    return None
+    return _lowered_count(method, n, "SX")
 
 
 def model_swaps(method: str, n: int) -> int | None:

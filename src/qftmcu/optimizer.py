@@ -15,6 +15,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 from .circuit import (
+    BLOCK_MINUS,
+    BLOCK_PLUS,
     Circuit,
     crz,
     cx,
@@ -26,8 +28,7 @@ from .circuit import (
 )
 from .gate_algebra import u2_mat, zyz_decompose
 
-BLOCK_PLUS = "+1"
-BLOCK_MINUS = "-1"
+LADDER_SIDES = ("plus-block", "minus-block", "split")
 
 
 @dataclass
@@ -53,7 +54,35 @@ def _report(name: str, before: Circuit, after: Circuit, **kw) -> PassReport:
     )
 
 
+def _block_lookup(gates: list, label: str) -> defaultdict:
+    """(kind, control, target) -> indices, in circuit order, of the gates in
+    block ``label``."""
+    look: defaultdict = defaultdict(list)
+    for i, g in enumerate(gates):
+        if g.block == label:
+            look[g.kind, g.control, g.target].append(i)
+    return look
+
+
+def _with_role(gates: list, idx: list[int], role: str) -> list[int]:
+    return [i for i in idx if gates[i].role == role]
+
+
+def _is_pi(angle: float) -> bool:
+    return abs(abs(normalize_angle(angle)) - math.pi) < 1e-12
+
+
 # -- phase-column merging -------------------------------------------------------
+
+# column kind -> (controlled partner it merges into, combined partner params)
+_COLUMN_MERGE = {
+    "P": ("CP", lambda kept, col: (kept[0] + col[0],)),
+    "U2": ("CU2", lambda kept, col: zyz_decompose(u2_mat(*kept) @ u2_mat(*col))),
+}
+
+# block -> (role of the side that absorbs the column, role of the side dropped)
+_ABSORB_SIDE = {BLOCK_PLUS: ("qft", "iqft"), BLOCK_MINUS: ("iqft", "qft")}
+
 
 def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
     """Absorb each block's diagonal column into its QFT stage rotations.
@@ -85,81 +114,80 @@ def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
 
     drop: set[int] = set()
     repl: dict[int, object] = {}
-    labels = []
-    for g in gates:
-        if g.block is not None and g.block not in labels:
-            labels.append(g.block)
-
-    for label in labels:
-        # +1 blocks absorb into the forward (qft) side, -1 blocks into the
-        # inverse side; anything else is left alone.
-        if label == BLOCK_PLUS:
-            absorb, discard = "qft", "iqft"
-        elif label == BLOCK_MINUS:
-            absorb, discard = "iqft", "qft"
-        else:
-            continue
-        idx = [i for i, g in enumerate(gates) if g.block == label]
-        for ci in idx:
+    for label, (absorb, discard) in _ABSORB_SIDE.items():
+        look = _block_lookup(gates, label)
+        columns = [i for i, g in enumerate(gates) if g.block == label and g.role == "column"]
+        for ci in columns:
             g = gates[ci]
-            if g.role != "column":
-                continue
             if g.kind == "P" and g.target == 1:
-                if abs(abs(normalize_angle(g.params[0])) - math.pi) > 1e-12:
+                if not _is_pi(g.params[0]):
                     continue
-                hq = [
-                    i for i in idx
-                    if gates[i].kind == "H" and gates[i].target == 1 and gates[i].role == "qft"
-                ]
-                hi = [
-                    i for i in idx
-                    if gates[i].kind == "H" and gates[i].target == 1 and gates[i].role == "iqft"
-                ]
+                hq = _with_role(gates, look["H", None, 1], "qft")
+                hi = _with_role(gates, look["H", None, 1], "iqft")
                 if len(hq) == 1 and len(hi) == 1:
                     repl[ci] = x(1, block=label, role="column")
                     drop |= {hq[0], hi[0]}
-            elif g.kind == "P":
-                j = g.target
-                keep = [
-                    i for i in idx
-                    if gates[i].kind == "CP" and gates[i].control == 1
-                    and gates[i].target == j and gates[i].role == absorb
-                ]
-                toss = [
-                    i for i in idx
-                    if gates[i].kind == "CP" and gates[i].control == 1
-                    and gates[i].target == j and gates[i].role == discard
-                ]
+            elif g.kind in _COLUMN_MERGE:
+                partner, combine = _COLUMN_MERGE[g.kind]
+                keep = _with_role(gates, look[partner, 1, g.target], absorb)
+                toss = _with_role(gates, look[partner, 1, g.target], discard)
                 if len(keep) == 1 and len(toss) == 1:
                     kg = gates[keep[0]]
                     new_m = kg.root_m - 1 if kg.root_m is not None else None
                     repl[keep[0]] = replace(
-                        kg, params=(kg.params[0] + g.params[0],), root_m=new_m
-                    )
-                    drop |= {ci, toss[0]}
-            elif g.kind == "U2":
-                j = g.target
-                keep = [
-                    i for i in idx
-                    if gates[i].kind == "CU2" and gates[i].control == 1
-                    and gates[i].target == j and gates[i].role == absorb
-                ]
-                toss = [
-                    i for i in idx
-                    if gates[i].kind == "CU2" and gates[i].control == 1
-                    and gates[i].target == j and gates[i].role == discard
-                ]
-                if len(keep) == 1 and len(toss) == 1:
-                    kg = gates[keep[0]]
-                    merged = u2_mat(*kg.params) @ u2_mat(*g.params)
-                    new_m = kg.root_m - 1 if kg.root_m is not None else None
-                    repl[keep[0]] = replace(
-                        kg, params=zyz_decompose(merged), root_m=new_m
+                        kg, params=combine(kg.params, g.params), root_m=new_m
                     )
                     drop |= {ci, toss[0]}
 
     out = Circuit(circ.n, [repl.get(i, g) for i, g in enumerate(gates) if i not in drop])
     return out, _report("merge-phase-columns", circ, out)
+
+
+# -- finishing rewrites after the merge ------------------------------------------
+
+def collapse_cx(circ: Circuit) -> Circuit:
+    """Fold each block's H(2) . CP(1->2, +-pi) . H(2) sandwich into a CX.
+
+    Only fires when the three gates are present exactly once in the block and
+    nothing else touches wireline 2 between them, which is the shape the
+    merge pass leaves behind.  Gates on other wirelines (the block's X(1))
+    commute through the Hadamards and are left in place.
+    """
+    gates = list(circ.gates)
+    for blk in (BLOCK_PLUS, BLOCK_MINUS):
+        look = _block_lookup(gates, blk)
+        h_qft = _with_role(gates, look["H", None, 2], "qft")
+        h_iqft = _with_role(gates, look["H", None, 2], "iqft")
+        cz = [i for i in look["CP", 1, 2] if _is_pi(gates[i].params[0])]
+        if len(h_qft) != 1 or len(h_iqft) != 1 or len(cz) != 1:
+            continue
+        lo, mid, hi = h_qft[0], cz[0], h_iqft[0]
+        if not lo < mid < hi:
+            continue
+        touched = [g for g in gates[lo + 1 : mid] + gates[mid + 1 : hi] if 2 in g.wires()]
+        if touched:
+            continue
+        gates[mid] = cx(1, 2, block=blk, role=gates[mid].role)
+        del gates[hi]
+        del gates[lo]
+    return Circuit(circ.n, gates)
+
+
+def cancel_x_pair(circ: Circuit) -> Circuit:
+    """Drop the two uncontrolled X(1) gates if nothing between them uses wireline 1.
+
+    The +1 block ends wireline 1 with a bit flip and the -1 block starts with
+    the opposite one; after merging, no gate in between acts on that wireline,
+    so the pair is an identity.
+    """
+    gates = list(circ.gates)
+    ix = [i for i, g in enumerate(gates) if g.kind == "X" and g.target == 1]
+    if len(ix) == 2:
+        lo, hi = ix
+        if not any(1 in g.wires() for g in gates[lo + 1 : hi]):
+            del gates[hi]
+            del gates[lo]
+    return Circuit(circ.n, gates)
 
 
 # -- controlled-phase to controlled-Rz ------------------------------------------
@@ -227,6 +255,14 @@ def cp_to_crz(circ: Circuit) -> tuple[Circuit, PassReport]:
 
 # -- explicit determinant-phase ladder ------------------------------------------
 
+def split_ladder_phase(delta: float, side: str) -> tuple[float, float]:
+    """The shares of delta that ``side`` puts on the +1 and on the -1 block."""
+    if side not in LADDER_SIDES:
+        raise ValueError(f"unknown ladder side {side!r}")
+    plus = {"plus-block": delta, "minus-block": 0.0, "split": delta / 2}[side]
+    return plus, delta - plus
+
+
 def insert_phase_ladder(circ: Circuit, delta: float, side: str) -> Circuit:
     """Attach the single-qubit phase ladder realizing a conditioned e^(i delta).
 
@@ -242,11 +278,8 @@ def insert_phase_ladder(circ: Circuit, delta: float, side: str) -> Circuit:
     or ``split`` (half the angle around each).  Returns a plain Circuit; the
     ladder is a fixed decoration, not a searched rewrite.
     """
-    if side not in ("plus-block", "minus-block", "split"):
-        raise ValueError(f"unknown ladder side {side!r}")
     n = circ.n
-    plus_d = {"plus-block": delta, "minus-block": 0.0, "split": delta / 2}[side]
-    minus_d = delta - plus_d
+    plus_d, minus_d = split_ladder_phase(delta, side)
     gates = list(circ.gates)
 
     def span(label: str) -> tuple[int, int] | None:
@@ -320,11 +353,7 @@ def ldd_to_qft(circ: Circuit) -> tuple[Circuit, PassReport]:
     converted = []
     for g in circ.gates:
         if g.kind == "CRx":
-            if (
-                g.control == 1
-                and g.target == 2
-                and abs(abs(normalize_angle(g.params[0])) - math.pi) < 1e-12
-            ):
+            if g.control == 1 and g.target == 2 and _is_pi(g.params[0]):
                 converted.append(cx(1, 2, block=g.block, role=g.role))
             else:
                 converted.append(

@@ -26,26 +26,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
+    BLOCK_MINUS,
+    BLOCK_PLUS,
     Circuit,
     cp,
     cu2,
-    cx,
     crx,
     h,
     inverse,
     normalize_angle,
     p,
     u2,
-    x,
 )
-from .gate_algebra import root, u2_mat, zyz_decompose
+from .gate_algebra import abc_split, root, u2_mat, zyz_decompose
 from .linalg import is_unitary
-
-BLOCK_PLUS = "+1"
-BLOCK_MINUS = "-1"
+from .optimizer import (
+    LADDER_SIDES,
+    cancel_x_pair,
+    collapse_cx,
+    insert_phase_ladder,
+    merge_phase_columns,
+    split_ladder_phase,
+)
 
 METHODS = ("mcx-qft", "mcu-mod", "mcu-zyz", "ldd")
-LADDER_SIDES = ("plus-block", "minus-block", "split")
 
 
 @dataclass
@@ -138,58 +142,28 @@ def build_decrement(k: int, *, block: str = BLOCK_MINUS) -> Circuit:
     return inverse(build_increment(k, block=block))
 
 
-# -- builder-local finishing rewrites -----------------------------------------
+# -- the finishing sequence shared by the builders ------------------------------
 
-def _collapse_cx(circ: Circuit) -> Circuit:
-    """Fold each block's H(2) . CP(1->2, +-pi) . H(2) sandwich into a CX.
-
-    Only fires when the three gates are present exactly once in the block and
-    nothing else touches wireline 2 between them, which is the shape the
-    merge pass leaves behind.  Gates on other wirelines (the block's X(1))
-    commute through the Hadamards and are left in place.
-    """
-    gates = list(circ.gates)
-    for blk in (BLOCK_PLUS, BLOCK_MINUS):
-        idx = [i for i, g in enumerate(gates) if g.block == blk]
-        h_qft = [i for i in idx if gates[i].kind == "H" and gates[i].target == 2 and gates[i].role == "qft"]
-        h_iqft = [i for i in idx if gates[i].kind == "H" and gates[i].target == 2 and gates[i].role == "iqft"]
-        cz = [
-            i
-            for i in idx
-            if gates[i].kind == "CP"
-            and gates[i].control == 1
-            and gates[i].target == 2
-            and abs(abs(normalize_angle(gates[i].params[0])) - math.pi) < 1e-12
-        ]
-        if len(h_qft) != 1 or len(h_iqft) != 1 or len(cz) != 1:
-            continue
-        lo, mid, hi = h_qft[0], cz[0], h_iqft[0]
-        if not lo < mid < hi:
-            continue
-        touched = [g for g in gates[lo + 1 : mid] + gates[mid + 1 : hi] if 2 in g.wires()]
-        if touched:
-            continue
-        gates[mid] = cx(1, 2, block=blk, role=gates[mid].role)
-        del gates[hi]
-        del gates[lo]
-    return Circuit(circ.n, gates)
-
-
-def _cancel_x_pair(circ: Circuit) -> Circuit:
-    """Drop the two uncontrolled X(1) gates if nothing between them uses wireline 1.
-
-    The +1 block ends wireline 1 with a bit flip and the -1 block starts with
-    the opposite one; after merging, no gate in between acts on that wireline,
-    so the pair is an identity.
-    """
-    gates = list(circ.gates)
-    ix = [i for i, g in enumerate(gates) if g.kind == "X" and g.target == 1]
-    if len(ix) == 2:
-        lo, hi = ix
-        if not any(1 in g.wires() for g in gates[lo + 1 : hi]):
-            del gates[hi]
-            del gates[lo]
-    return Circuit(circ.n, gates)
+def _finish(
+    circ: Circuit,
+    cfg: SynthConfig,
+    *,
+    fold_cx: bool = True,
+    ladder: float = 0.0,
+    ladder_side: str = "minus-block",
+) -> Circuit:
+    """With ``optimize=True``, merge the phase columns and (``fold_cx``) fold
+    each block's CZ sandwich into a CX and cancel the X(1) pair; then bracket
+    a block with the phase ladder for ``ladder`` and apply the AQFT cutoff."""
+    if cfg.optimize:
+        circ, _ = merge_phase_columns(circ)
+        if fold_cx:
+            circ = cancel_x_pair(collapse_cx(circ))
+    if ladder != 0.0:
+        circ = insert_phase_ladder(circ, ladder, ladder_side)
+    if cfg.aqft_cutoff is not None:
+        circ = apply_aqft(circ, cfg.aqft_cutoff)
+    return circ
 
 
 # -- the three constructions ---------------------------------------------------
@@ -205,14 +179,7 @@ def build_mcx_qft(cfg: SynthConfig) -> Circuit:
     _require(cfg, "mcx-qft")
     n = cfg.n
     gates = list(build_increment(n).gates) + list(build_decrement(n - 1).gates)
-    circ = Circuit(n, gates)
-    if cfg.optimize:
-        from .optimizer import merge_phase_columns
-
-        circ, _ = merge_phase_columns(circ)
-    if cfg.aqft_cutoff is not None:
-        circ = apply_aqft(circ, cfg.aqft_cutoff)
-    return circ
+    return _finish(Circuit(n, gates), cfg, fold_cx=False)
 
 
 def build_mcu_mod(cfg: SynthConfig) -> Circuit:
@@ -235,8 +202,7 @@ def build_mcu_mod(cfg: SynthConfig) -> Circuit:
     if n == 2:
         return Circuit(2, [cu2((d, a, t, b), 1, 2, block=BLOCK_PLUS, role="qft", root_m=1)])
 
-    fold = {"plus-block": d, "minus-block": 0.0, "split": d / 2}[cfg.phase_ladder_side]
-    ladder = d - fold
+    fold, ladder = split_ladder_phase(d, cfg.phase_ladder_side)
     v = u2_mat(0.0, a, t, b)
     params = {}
     for m in range(2, n + 1):
@@ -253,21 +219,7 @@ def build_mcu_mod(cfg: SynthConfig) -> Circuit:
     tail = list(inverse(Circuit(n, head)).gates)
 
     minus = list(build_decrement(n - 1).gates)
-    circ = Circuit(n, head + column + tail + minus)
-
-    if cfg.optimize:
-        from .optimizer import merge_phase_columns
-
-        circ, _ = merge_phase_columns(circ)
-        circ = _collapse_cx(circ)
-        circ = _cancel_x_pair(circ)
-    if ladder != 0.0:
-        from .optimizer import insert_phase_ladder
-
-        circ = insert_phase_ladder(circ, ladder, "minus-block")
-    if cfg.aqft_cutoff is not None:
-        circ = apply_aqft(circ, cfg.aqft_cutoff)
-    return circ
+    return _finish(Circuit(n, head + column + tail + minus), cfg, ladder=ladder)
 
 
 def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
@@ -282,9 +234,7 @@ def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     _require(cfg, "mcu-zyz")
     n = cfg.n
     d, a, t, b = zyz_decompose(cfg.u)
-    c_par = (0.0, 0.0, 0.0, (b - a) / 2)
-    b_par = (0.0, 0.0, -t / 2, -(a + b) / 2)
-    a_par = (0.0, a, t / 2, 0.0)
+    a_par, b_par, c_par = abc_split(a, t, b)
 
     gates = []
     if not _is_identity_u2(c_par):
@@ -295,21 +245,7 @@ def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     gates += list(build_decrement(n).gates)
     if not _is_identity_u2(a_par):
         gates.append(u2(a_par, n))
-    circ = Circuit(n, gates)
-
-    if cfg.optimize:
-        from .optimizer import merge_phase_columns
-
-        circ, _ = merge_phase_columns(circ)
-        circ = _collapse_cx(circ)
-        circ = _cancel_x_pair(circ)
-    if d != 0.0:
-        from .optimizer import insert_phase_ladder
-
-        circ = insert_phase_ladder(circ, d, cfg.phase_ladder_side)
-    if cfg.aqft_cutoff is not None:
-        circ = apply_aqft(circ, cfg.aqft_cutoff)
-    return circ
+    return _finish(Circuit(n, gates), cfg, ladder=d, ladder_side=cfg.phase_ladder_side)
 
 
 def build_ldd(cfg: SynthConfig) -> Circuit:
@@ -322,14 +258,15 @@ def build_ldd(cfg: SynthConfig) -> Circuit:
     register blocks).  The two CX gates become CRx(+-pi); their leftover
     +-i phases are conditioned on the same wireline-1 value and cancel.
 
-    Always built from the merged modified-increment circuit, so the
-    ``optimize`` flag has no effect here.
+    Always built from the merged (and AQFT-truncated) modified-increment
+    circuit, so the ``optimize`` flag has no effect here.
     """
     _require(cfg, "ldd")
     base = SynthConfig(
         "mcu-mod",
         cfg.n,
         cfg.u,
+        aqft_cutoff=cfg.aqft_cutoff,
         optimize=True,
         phase_ladder_side=cfg.phase_ladder_side,
     )
@@ -347,10 +284,7 @@ def build_ldd(cfg: SynthConfig) -> Circuit:
             out.append(crx(ang, g.control, g.target, block=g.block, role=g.role, root_m=1))
         else:
             out.append(g)
-    circ = Circuit(cfg.n, out)
-    if cfg.aqft_cutoff is not None:
-        circ = apply_aqft(circ, cfg.aqft_cutoff)
-    return circ
+    return Circuit(cfg.n, out)
 
 
 _BUILDERS = {
@@ -379,10 +313,18 @@ def default_aqft_cutoff(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
+#: the controlled rotations an AQFT cutoff truncates
+CONTROLLED_ROTATIONS = frozenset({"CP", "CRz", "CRx", "CU2"})
+
+
 def _root_index(g) -> int | None:
+    """Root index m of a controlled rotation: the builder annotation when
+    present, else read off a single angle |gamma| = pi / 2**(m-1)."""
+    if g.kind not in CONTROLLED_ROTATIONS:
+        return None
     if g.root_m is not None:
         return g.root_m
-    if g.kind in ("CP", "CRz", "CRx"):
+    if len(g.params) == 1:
         a = abs(normalize_angle(g.params[0]))
         if a < 1e-12:
             return None
@@ -395,18 +337,18 @@ def _root_index(g) -> int | None:
 def apply_aqft(circ: Circuit, m_max: int) -> Circuit:
     """Drop controlled rotations whose root index exceeds ``m_max``.
 
-    Applies to CP, CRz and CU2 gates.  The root index is taken from the
+    Applies to CP, CRz, CRx and CU2 gates.  The root index is taken from the
     builder annotation when present, else inferred from the rotation angle
-    |gamma| = pi / 2**(m-1); gates whose index cannot be determined are kept.
+    |gamma| = pi / 2**(m-1) (CU2 has no such angle); gates whose index cannot
+    be determined are kept.
     """
     if not 1 <= m_max <= circ.n:
         raise ValueError(f"m_max must lie in [1, {circ.n}]")
     kept = []
     for g in circ.gates:
-        if g.kind in ("CP", "CRz", "CU2"):
-            m = _root_index(g)
-            if m is not None and m > m_max:
-                continue
+        m = _root_index(g)
+        if m is not None and m > m_max:
+            continue
         kept.append(g)
     return Circuit(circ.n, kept)
 

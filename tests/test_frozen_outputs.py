@@ -1,0 +1,110 @@
+"""Frozen outputs: what the program emits, held to recorded digests.
+
+Each cell lowers one build to the native set, hashes its gate list, counts
+and depth, and keeps its global phase; two more digests cover the ``qftmcu
+sweep`` CSV.  A refactor that claims to change no output passes only if every
+digest still matches and every phase agrees to 1e-9 (mod 2 pi).  Angles are
+rounded to 1e-9 before hashing, which keeps the digests stable under last-bit
+float differences.  The phase is compared, not hashed: it is a running sum of
+thousands of terms, and reordering the additions moves it by up to about
+1e-10 at n=20, enough to flip a digit that 1e-9 rounding keeps.
+
+A change that moves an output on purpose regenerates the file and says which
+cells moved and why:
+
+    PYTHONPATH=src python tests/test_frozen_outputs.py --write
+"""
+
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from qftmcu.cli import main
+from qftmcu.layout import ARCHES, synth_native
+from qftmcu.synthesis import LADDER_SIDES, METHODS, SynthConfig
+
+FIXTURE = Path(__file__).with_name("frozen_outputs.json")
+MCU_METHODS = ("mcu-mod", "mcu-zyz", "ldd")
+PAYLOADS = {
+    "I": np.eye(2, dtype=complex),
+    "-I": -np.eye(2, dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+}
+SWEEPS = {
+    "sweep fc --n 3..14": ["sweep", "--n", "3..14"],
+    "sweep lnn --n 4..10": ["sweep", "--arch", "lnn", "--n", "4..10"],
+}
+
+
+def _r(v: float) -> float:
+    return round(v, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def _record(nc) -> list:
+    """[SHA-256 of the gate list, counts and depth; the global phase]."""
+    gates = [(g.kind, g.target, g.control, tuple(_r(v) for v in g.params)) for g in nc.gates]
+    record = (gates, sorted(nc.counts().items()), nc.depth())
+    return [hashlib.sha256(repr(record).encode()).hexdigest(), nc.global_phase]
+
+
+def _cells():
+    """(name, SynthConfig, arch) for every frozen cell."""
+    from tests.conftest import generic_u
+
+    u = generic_u(0)
+    for method in METHODS:
+        payload = None if method == "mcx-qft" else u
+        for n in range(3, 15):
+            for arch in ARCHES:
+                yield f"{method}/n={n}/{arch}", SynthConfig(method, n, payload), arch
+    for method in MCU_METHODS:
+        for side in LADDER_SIDES[1:]:  # plus-block is the default, covered above
+            for n in range(3, 9):
+                cfg = SynthConfig(method, n, u, phase_ladder_side=side)
+                yield f"{method}/n={n}/fc/{side}", cfg, "fc"
+        for name, payload in PAYLOADS.items():
+            yield f"{method}/n=5/fc/u={name}", SynthConfig(method, 5, payload), "fc"
+
+
+def _sweep_record(argv: list[str], tmp: Path) -> list:
+    out = tmp / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    return [hashlib.sha256(out.read_bytes()).hexdigest(), None]
+
+
+def _current(tmp: Path) -> dict[str, list]:
+    got = {name: _record(synth_native(cfg, arch)) for name, cfg, arch in _cells()}
+    got.update({name: _sweep_record(argv, tmp) for name, argv in SWEEPS.items()})
+    return got
+
+
+def _same(got: list, want: list) -> bool:
+    if got[0] != want[0]:
+        return False
+    return want[1] is None or abs(math.remainder(got[1] - want[1], 2 * math.pi)) < 1e-9
+
+
+def test_outputs_match_frozen_digests(tmp_path):
+    want = json.loads(FIXTURE.read_text())
+    got = _current(tmp_path)
+    assert got.keys() == want.keys(), "cell grid changed; regenerate the fixture"
+    moved = [name for name in want if not _same(got[name], want[name])]
+    assert not moved, f"{len(moved)} of {len(want)} cells moved: {moved}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_frozen_outputs.py --write")
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = _current(Path(tmp))
+    lines = [f"  {json.dumps(name)}: {json.dumps(digests[name])}" for name in sorted(digests)]
+    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(digests)} digests to {FIXTURE}")

@@ -34,7 +34,6 @@ from qftmcu.layout import (
     lower_to_ngs,
     model_cx,
     model_depth,
-    model_rz,
     model_swaps,
     model_sx,
     native_metrics,
@@ -237,7 +236,6 @@ def test_model_values_at_n5():
     assert model_cx("mcu-mod", 5) == 48
     assert model_depth("mcu-zyz", 5) == 116
     assert model_cx("mcu-zyz", 5) == 62
-    assert model_rz("mcu-mod", 5) == 6 * 25 - 8 * 5 - 13
     assert model_sx("mcu-mod", 5) == 12 * 3
     assert model_swaps("mcu-zyz", 5) == 32
 
@@ -246,9 +244,17 @@ def test_model_lnn_additive_terms():
     n = 5
     assert model_depth("mcu-mod", n, "lnn") == model_depth("mcu-mod", n) + 24 * n - 64
     assert model_depth("mcu-zyz", n, "lnn") == model_depth("mcu-zyz", n) + 24 * n - 52
-    assert model_cx("mcu-mod", n, "lnn") == model_cx("mcu-mod", n) + 6 * n * n - 18 * n + 14
-    assert model_cx("mcu-zyz", n, "lnn") == model_cx("mcu-zyz", n) + 6 * n * n - 12 * n + 2
+    # each routing SWAP lowers to three CX
+    assert model_cx("mcu-mod", n, "lnn") == model_cx("mcu-mod", n) + 3 * model_swaps("mcu-mod", n)
+    assert model_cx("mcu-zyz", n, "lnn") == model_cx("mcu-zyz", n) + 3 * model_swaps("mcu-zyz", n)
     assert model_depth("ldd", n) is None
+
+
+def test_model_cx_lnn_matches_built_circuit(u_gen):
+    # At n=5 the greedy router inserts exactly model_swaps (26) SWAPs.
+    nc = synth_native(SynthConfig("mcu-mod", 5, u=u_gen), arch="lnn")
+    assert nc.swaps_inserted == model_swaps("mcu-mod", 5)
+    assert nc.counts()["CX"] == model_cx("mcu-mod", 5, "lnn") == 126
 
 
 def test_model_cx_follows_pinned_counts():
@@ -259,6 +265,16 @@ def test_model_cx_follows_pinned_counts():
             c = expected_counts(method, n)
             want = 2 * c["CP"] + 2 * c.get("CU2", 0) + c["CX"]
             assert model_cx(method, n) == want, f"{method} n={n}"
+
+
+def test_model_sx_matches_built_circuits(u_gen):
+    # SX comes only from the lowering templates and is never merged away.
+    for n in range(4, 21):
+        assert model_sx("mcu-mod", n) == 12 * (n - 2)
+        assert model_sx("mcu-zyz", n) == 4 * n - 2
+        for method in ("mcu-mod", "mcu-zyz"):
+            nc = synth_native(SynthConfig(method, n, u=u_gen))
+            assert nc.counts()["SX"] == model_sx(method, n), f"{method} n={n}"
 
 
 def test_metrics_fields(u_gen):

@@ -317,6 +317,29 @@ def test_aqft_close_at_generous_cutoff(u_gen):
     assert 0 < dev < 0.5
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_aqft_truncates_ldd_like_mod(n, u_gen):
+    # ldd rewrites each CP and CX of mcu-mod into a CRx, so a cutoff must drop
+    # the same rotations from both and cost both the same accuracy.
+    ldd_full = build(SynthConfig("ldd", n, u=u_gen))
+    ldd_u = circuit_unitary(ldd_full)
+    mod_u = circuit_unitary(build(SynthConfig("mcu-mod", n, u=u_gen)))
+    # An n=8 unitary costs about half a second, so there only m=3 is multiplied out.
+    for m in range(2, n + 1):
+        ldd = build(SynthConfig("ldd", n, u=u_gen, aqft_cutoff=m))
+        mod = build(SynthConfig("mcu-mod", n, u=u_gen, aqft_cutoff=m))
+        assert apply_aqft(ldd_full, m).gates == ldd.gates
+        got, want = count_gates(ldd), count_gates(mod)
+        assert got["CRx"] == want["CP"] + want["CX"], f"m={m}"
+        if m == 3:
+            assert got["CRx"] == {6: 26, 8: 42}[n]
+        elif n == 8:
+            continue
+        ldd_err = np.abs(circuit_unitary(ldd) - ldd_u).max()
+        mod_err = np.abs(circuit_unitary(mod) - mod_u).max()
+        assert abs(ldd_err - mod_err) < 1e-12, f"m={m}: {ldd_err} vs {mod_err}"
+
+
 # -- dispatcher ----------------------------------------------------------------
 
 def test_build_dispatch_covers_methods(u_gen):
