@@ -193,8 +193,6 @@ def _fold_turns(angle: float) -> tuple[float, float]:
 
 def _emit_rz(out: list[Gate], angle: float, t: int) -> float:
     """Append an Rz unless it vanishes; returns its full-turn phase."""
-    if angle == 0.0:  # a template slot the gate leaves empty (CRx has three)
-        return 0.0
     a, phase = _fold_turns(angle)
     if abs(a) > 1e-12:
         out.append(rz(a, t))
@@ -285,16 +283,11 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     """
     out: list[Gate] = []
     phase = 0.0
-    templates: dict = {}  # (kind, params) -> steps; QFT angles repeat across gates
     for g in circ.gates:
-        key = (g.kind, g.params)
-        steps = templates.get(key)
-        if steps is None:
-            if g.kind not in LOWERING:
-                raise ValueError(f"cannot lower gate kind {g.kind!r}")
-            steps = templates[key] = LOWERING[g.kind](g.params)
+        if g.kind not in LOWERING:
+            raise ValueError(f"cannot lower gate kind {g.kind!r}")
         ops = (g.target, g.control)
-        for kind, w, angle in steps:
+        for kind, w, angle in LOWERING[g.kind](g.params):
             if kind == "Rz":
                 phase += _emit_rz(out, angle, ops[w])
             elif kind == "phase":
