@@ -21,7 +21,7 @@ merged, report = merge_phase_columns(raw)
 
 print(f"\nmerge on the unoptimized mcx build (n={n}):")
 print(f"  gates {report.gates_before} -> {report.gates_after},"
-      f" slots {report.slots_before} -> {report.slots_after}")
+      f" slots {schedule_slots(raw)[0]} -> {schedule_slots(merged)[0]}")
 print(f"  refused: {report.refused}   detail: {report.detail or '(none)'}")
 
 # Running it again finds nothing left to do -- passes are idempotent.
@@ -35,14 +35,13 @@ print(f"  second application changes nothing: {again.gates == merged.gates}")
 # neighbours, and whatever survives is left as explicit P gates that ride
 # in existing slots (they never add depth).
 
-converted, report = cp_to_crz(merged)
+converted, _ = cp_to_crz(merged)
 print(f"\ncp-to-crz on the merged circuit:")
 print(f"  before: {count_gates(merged)}")
 print(f"  after:  {count_gates(converted)}")
 riders = [g for g in converted.gates if g.kind == "P" and g.ride]
 print(f"  surviving phase corrections: {len(riders)} (all slot-riders)")
 print(f"  slots unchanged: {schedule_slots(converted)[0] == schedule_slots(merged)[0]}")
-print(f"  global phase moved out of the gate list: {report.phase_shift:+.6f} rad")
 
 # On the mcu-mod build the ladders are symmetric and every correction
 # cancels -- nothing survives at all.

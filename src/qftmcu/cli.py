@@ -4,7 +4,8 @@ Every run is reproducible: the same flags (including --seed) produce
 byte-identical output files.  Subcommands:
 
   synth       build a circuit and write it as JSON
-  optimize    build unoptimized, apply a pass list, report what each pass did
+  optimize    build unoptimized, apply a pass list, report what each pass did,
+              then apply the AQFT cutoff
   verify      build and check against the brute-force oracle (JSON verdict)
   metrics     one CSV/JSON row of native-gate statistics for a single build
   sweep       metrics rows over an n-range x method list (depth-vs-n CSV)
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .circuit import count_gates, schedule_slots, to_json
 from .gate_algebra import NAMED_GATES, identity_battery, random_unitary, u2_mat
 from .layout import ARCHES, native_metrics, synth_native
 from .optimizer import PASSES
-from .synthesis import METHODS, SynthConfig, build
+from .synthesis import METHODS, SynthConfig, apply_aqft, build
 from .verifier import verify_mcu
 
 CSV_COLUMNS = (
@@ -136,13 +137,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown pass {name!r}; choose from {sorted(PASSES)}")
     cfg = SynthConfig(method=args.method, n=args.n, u=u,
                       aqft_cutoff=args.aqft, optimize=False)
-    circ = build(cfg)
+    circ = build(replace(cfg, aqft_cutoff=None))
     reports = []
+    slots = schedule_slots(circ)[0]
     for name in names:
         circ, rep = PASSES[name](circ)
         row = asdict(rep)
         del row["name"]
-        reports.append({"pass": name, **row})
+        after = schedule_slots(circ)[0]
+        reports.append({"pass": name, **row, "slots_before": slots, "slots_after": after})
+        slots = after
+    if cfg.aqft_cutoff is not None:
+        circ = apply_aqft(circ, cfg.aqft_cutoff)
     payload = _circuit_payload(circ, args, u)
     payload["passes"] = reports
     _emit(_dump_json(payload), args.out)

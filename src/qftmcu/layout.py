@@ -17,7 +17,8 @@ import numpy as np
 
 from .circuit import Circuit, Gate, normalize_angle, rz, schedule_slots, swap
 from .gate_algebra import abc_split
-from .synthesis import expected_counts
+from .optimizer import cancel_cx_pairs
+from .synthesis import build, expected_counts
 
 TWO_PI = 2.0 * math.pi
 
@@ -346,8 +347,6 @@ class NativeMetrics:
 
 def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
     """Build, optionally route to a line, and lower to the native set."""
-    from .synthesis import build
-
     if arch not in ARCHES:
         raise ValueError(f"unknown arch {arch!r}; expected one of {ARCHES}")
     circ = build(cfg)
@@ -370,8 +369,6 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
 
 def native_metrics(nc: NativeCircuit) -> NativeMetrics:
     """Depth/count summary plus comparison against the closed-form models."""
-    from .optimizer import cancel_cx_pairs
-
     counts = nc.counts()
     depth = nc.depth()
     md = model_depth(nc.method, nc.n, nc.arch) if nc.method and nc.n else None

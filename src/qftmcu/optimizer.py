@@ -3,9 +3,9 @@
 Each pass returns ``(circuit, PassReport)`` and never mutates its input.  The
 structural passes key on the ``block`` / ``role`` annotations the builders
 attach; on circuits without annotations they refuse (flagged in the report)
-rather than guess.  All rewrites here are exactly unitary-preserving -- the
-``phase_shift`` field exists for passes that trade a gate for a global phase,
-and stays 0.0 for every rewrite currently implemented.
+rather than guess.  All rewrites here are exactly unitary-preserving, global
+phase included.  The reports carry gate counts only; a caller that wants slot
+counts schedules the circuits itself.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .circuit import (
     h,
     normalize_angle,
     p,
-    schedule_slots,
     x,
 )
 from .gate_algebra import u2_mat, zyz_decompose
@@ -36,22 +35,12 @@ class PassReport:
     name: str
     gates_before: int
     gates_after: int
-    slots_before: int
-    slots_after: int
-    phase_shift: float = 0.0
     refused: bool = False
     detail: str = ""
 
 
 def _report(name: str, before: Circuit, after: Circuit, **kw) -> PassReport:
-    return PassReport(
-        name,
-        len(before.gates),
-        len(after.gates),
-        schedule_slots(before)[0],
-        schedule_slots(after)[0],
-        **kw,
-    )
+    return PassReport(name, len(before.gates), len(after.gates), **kw)
 
 
 def _block_lookup(gates: list, label: str) -> defaultdict:
@@ -145,7 +134,7 @@ def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
 
 # -- finishing rewrites after the merge ------------------------------------------
 
-def collapse_cx(circ: Circuit) -> Circuit:
+def collapse_cx(circ: Circuit) -> tuple[Circuit, PassReport]:
     """Fold each block's H(2) . CP(1->2, +-pi) . H(2) sandwich into a CX.
 
     Only fires when the three gates are present exactly once in the block and
@@ -170,10 +159,11 @@ def collapse_cx(circ: Circuit) -> Circuit:
         gates[mid] = cx(1, 2, block=blk, role=gates[mid].role)
         del gates[hi]
         del gates[lo]
-    return Circuit(circ.n, gates)
+    out = Circuit(circ.n, gates)
+    return out, _report("collapse-cx", circ, out)
 
 
-def cancel_x_pair(circ: Circuit) -> Circuit:
+def cancel_x_pair(circ: Circuit) -> tuple[Circuit, PassReport]:
     """Drop the two uncontrolled X(1) gates if nothing between them uses wireline 1.
 
     The +1 block ends wireline 1 with a bit flip and the -1 block starts with
@@ -187,7 +177,8 @@ def cancel_x_pair(circ: Circuit) -> Circuit:
         if not any(1 in g.wires() for g in gates[lo + 1 : hi]):
             del gates[hi]
             del gates[lo]
-    return Circuit(circ.n, gates)
+    out = Circuit(circ.n, gates)
+    return out, _report("cancel-x-pair", circ, out)
 
 
 # -- controlled-phase to controlled-Rz ------------------------------------------

@@ -13,9 +13,10 @@ wireline n.  Gates carry two kinds of annotation used by the optimizer:
 * ``role``  -- ``"qft"``, ``"column"``, ``"iqft"`` or ``"ladder"`` marking a
   gate's place inside its block.
 
-Everything here emits plain :class:`~qftmcu.circuit.Circuit` objects; the
-merging / rewrite machinery lives in :mod:`qftmcu.optimizer` and is invoked
-by the builders when ``optimize=True``.
+Every builder returns its plain construction as a
+:class:`~qftmcu.circuit.Circuit`.  :func:`build` then runs the method's
+rewrites from :mod:`qftmcu.optimizer` (when ``optimize=True``) and the AQFT
+cutoff, in that order and nowhere else.
 """
 
 from __future__ import annotations
@@ -142,44 +143,20 @@ def build_decrement(k: int, *, block: str = BLOCK_MINUS) -> Circuit:
     return inverse(build_increment(k, block=block))
 
 
-# -- the finishing sequence shared by the builders ------------------------------
-
-def _finish(
-    circ: Circuit,
-    cfg: SynthConfig,
-    *,
-    fold_cx: bool = True,
-    ladder: float = 0.0,
-    ladder_side: str = "minus-block",
-) -> Circuit:
-    """With ``optimize=True``, merge the phase columns and (``fold_cx``) fold
-    each block's CZ sandwich into a CX and cancel the X(1) pair; then bracket
-    a block with the phase ladder for ``ladder`` and apply the AQFT cutoff."""
-    if cfg.optimize:
-        circ, _ = merge_phase_columns(circ)
-        if fold_cx:
-            circ = cancel_x_pair(collapse_cx(circ))
-    if ladder != 0.0:
-        circ = insert_phase_ladder(circ, ladder, ladder_side)
-    if cfg.aqft_cutoff is not None:
-        circ = apply_aqft(circ, cfg.aqft_cutoff)
-    return circ
-
-
 # -- the three constructions ---------------------------------------------------
 
 def build_mcx_qft(cfg: SynthConfig) -> Circuit:
     """Multi-controlled X: increment the full register, decrement the controls.
 
-    With ``optimize=True`` the phase columns are merged into the stage
-    rotations (and the wireline-1 phase collapses to a bare X); the block
-    structure itself is left alone, so the result stays visibly two QFT
-    sandwiches.
+    Its only rewrite is the merge, which folds the phase columns into the
+    stage rotations (and the wireline-1 phase into a bare X); the block
+    structure itself is left alone, so the optimized circuit stays visibly
+    two QFT sandwiches.
     """
     _require(cfg, "mcx-qft")
     n = cfg.n
     gates = list(build_increment(n).gates) + list(build_decrement(n - 1).gates)
-    return _finish(Circuit(n, gates), cfg, fold_cx=False)
+    return Circuit(n, gates)
 
 
 def build_mcu_mod(cfg: SynthConfig) -> Circuit:
@@ -219,7 +196,7 @@ def build_mcu_mod(cfg: SynthConfig) -> Circuit:
     tail = list(inverse(Circuit(n, head)).gates)
 
     minus = list(build_decrement(n - 1).gates)
-    return _finish(Circuit(n, head + column + tail + minus), cfg, ladder=ladder)
+    return insert_phase_ladder(Circuit(n, head + column + tail + minus), ladder, "minus-block")
 
 
 def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
@@ -245,7 +222,7 @@ def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     gates += list(build_decrement(n).gates)
     if not _is_identity_u2(a_par):
         gates.append(u2(a_par, n))
-    return _finish(Circuit(n, gates), cfg, ladder=d, ladder_side=cfg.phase_ladder_side)
+    return insert_phase_ladder(Circuit(n, gates), d, cfg.phase_ladder_side)
 
 
 def build_ldd(cfg: SynthConfig) -> Circuit:
@@ -258,19 +235,13 @@ def build_ldd(cfg: SynthConfig) -> Circuit:
     register blocks).  The two CX gates become CRx(+-pi); their leftover
     +-i phases are conditioned on the same wireline-1 value and cancel.
 
-    Always built from the merged (and AQFT-truncated) modified-increment
-    circuit, so the ``optimize`` flag has no effect here.
+    Always rewrites the optimized modified-increment circuit, so the
+    ``optimize`` flag has no effect here; :func:`build` applies the AQFT
+    cutoff to the result.
     """
     _require(cfg, "ldd")
-    base = SynthConfig(
-        "mcu-mod",
-        cfg.n,
-        cfg.u,
-        aqft_cutoff=cfg.aqft_cutoff,
-        optimize=True,
-        phase_ladder_side=cfg.phase_ladder_side,
-    )
-    merged = build_mcu_mod(base)
+    base = SynthConfig("mcu-mod", cfg.n, cfg.u, phase_ladder_side=cfg.phase_ladder_side)
+    merged = build(base)
     out = []
     for g in merged.gates:
         if g.kind == "H":
@@ -295,9 +266,25 @@ _BUILDERS = {
 }
 
 
+#: the rewrites ``optimize=True`` runs on each method's construction, in order
+_REWRITES = {
+    "mcx-qft": (merge_phase_columns,),
+    "mcu-mod": (merge_phase_columns, collapse_cx, cancel_x_pair),
+    "mcu-zyz": (merge_phase_columns, collapse_cx, cancel_x_pair),
+    "ldd": (),
+}
+
+
 def build(cfg: SynthConfig) -> Circuit:
-    """Dispatch to the builder named by ``cfg.method``."""
-    return _BUILDERS[cfg.method](cfg)
+    """The construction of ``cfg.method``, then (``optimize``) its rewrites,
+    then (``aqft_cutoff``) the AQFT truncation."""
+    circ = _BUILDERS[cfg.method](cfg)
+    if cfg.optimize:
+        for rewrite in _REWRITES[cfg.method]:
+            circ, _ = rewrite(circ)
+    if cfg.aqft_cutoff is not None:
+        circ = apply_aqft(circ, cfg.aqft_cutoff)
+    return circ
 
 
 def _is_identity_u2(par: tuple[float, float, float, float]) -> bool:
@@ -307,7 +294,12 @@ def _is_identity_u2(par: tuple[float, float, float, float]) -> bool:
 # -- approximate-QFT truncation ------------------------------------------------
 
 def default_aqft_cutoff(n: int) -> int:
-    """ceil(log2 n): the coarsest cutoff that keeps the error negligible."""
+    """ceil(log2 n), a width-dependent default cutoff.
+
+    It does not bound the truncation error: at n=8 (cutoff 3) the truncated
+    circuit deviates from the exact MCU by 0.44-0.51 in its largest entry,
+    depending on the method.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     return max(1, (n - 1).bit_length())

@@ -101,6 +101,16 @@ def test_optimize_reports_merge_delta(tmp_path):
     assert report["refused"] is False
 
 
+def test_optimize_truncates_after_its_passes(tmp_path):
+    flags = ("--method", "mcx-qft", "--n", "7", "--aqft", "3")
+    opt, syn = tmp_path / "o.json", tmp_path / "s.json"
+    assert run("optimize", *flags, "--optimize", "merge", "--out", str(opt)) == 0
+    assert run("synth", *flags, "--out", str(syn)) == 0
+    got, want = json.loads(opt.read_text()), json.loads(syn.read_text())
+    assert got["counts"] == want["counts"] == {"CP": 38, "H": 22, "X": 2}
+    assert got["circuit"] == want["circuit"]
+
+
 def test_optimize_rejects_unknown_pass():
     assert run("optimize", "--method", "mcx-qft", "--n", "4", "--optimize", "fuse") == 2
 
