@@ -29,6 +29,8 @@ from qftmcu.synthesis import LADDER_SIDES, METHODS, SynthConfig
 
 FIXTURE = Path(__file__).with_name("frozen_outputs.json")
 MCU_METHODS = ("mcu-mod", "mcu-zyz", "ldd")
+WIDE_FC = (24, 32, 40)
+WIDE_LNN = (16, 20)
 PAYLOADS = {
     "I": np.eye(2, dtype=complex),
     "-I": -np.eye(2, dtype=complex),
@@ -62,6 +64,13 @@ def _cells():
         for n in range(3, 15):
             for arch in ARCHES:
                 yield f"{method}/n={n}/{arch}", SynthConfig(method, n, payload), arch
+        # Wide cells, where the scheduler's ready set and the routed CX
+        # streams are large.
+        for n in WIDE_FC:
+            yield f"{method}/n={n}/fc", SynthConfig(method, n, payload), "fc"
+        if method in MCU_METHODS:
+            for n in WIDE_LNN:
+                yield f"{method}/n={n}/lnn", SynthConfig(method, n, payload), "lnn"
     for method in MCU_METHODS:
         for side in LADDER_SIDES[1:]:  # plus-block is the default, covered above
             for n in range(3, 9):
