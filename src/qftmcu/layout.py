@@ -10,7 +10,9 @@ physical layout instead of undoing it.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -222,10 +224,23 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     different bases) and greedily emits whichever ready gate can start
     earliest, breaking ties by original position.  Only commuting exchanges
     are performed, so the overall unitary is untouched.
+
+    Ready gates on one wire tuple share a start time, and they become ready in
+    index order: whatever holds a gate back on one of its wirelines also
+    holds back every later gate on the same wirelines, directly or through
+    the runs between them.  So each wire tuple queues its ready gates
+    first-in first-out, and one heap holds a ``(start, index)`` entry for the
+    head of every non-empty queue.  Starts only grow (``avail`` is
+    monotone), so an entry's start is a lower bound: a popped entry whose
+    start moved on is pushed back with the new one, and a popped entry whose
+    start still holds is the least ``(start, index)`` over all ready gates --
+    the gate a scan of the whole ready list would emit.  Each emission costs
+    O(log m) heap work instead of an O(|ready|) scan.
     """
     m = len(gates)
     succs: list[list[int]] = [[] for _ in range(m)]
     indeg = [0] * m
+    wires: list[tuple[int, ...]] = []
     # Per wireline: basis of the current commuting run, its members, and the
     # members of the run before it.  A gate must follow every gate of the
     # opposite-basis run immediately preceding it on each of its wirelines;
@@ -233,6 +248,7 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     run: dict[int, tuple[str, list[int], list[int]]] = {}
     for i, g in enumerate(gates):
         ws = (g.target,) if g.control is None else (g.control, g.target)
+        wires.append(ws)
         for w in ws:
             basis = _native_basis(g, w)
             st = run.get(w)
@@ -248,29 +264,38 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
                     succs[q].append(i)
                     indeg[i] += 1
                 run[w] = (basis, [i], st[1])
-    ready = [i for i in range(m) if indeg[i] == 0]
     avail = [0] * (n + 1)
+    queues: dict[tuple[int, ...], deque[int]] = defaultdict(deque)
+    heap: list[tuple[int, int]] = []
+
+    def make_ready(i: int) -> None:
+        queue = queues[wires[i]]
+        queue.append(i)
+        if len(queue) == 1:
+            heapq.heappush(heap, (max(avail[w] for w in wires[i]), i))
+
+    for i in range(m):
+        if indeg[i] == 0:
+            make_ready(i)
     order: list[int] = []
-    while ready:
-        best = None
-        best_key = None
-        for i in ready:
-            g = gates[i]
-            start = avail[g.target] if g.control is None else max(avail[g.target], avail[g.control])
-            key = (start, i)
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        ready.remove(best)
+    while heap:
+        start, best = heapq.heappop(heap)
+        ws = wires[best]
+        now = max(avail[w] for w in ws)
+        if now != start:
+            heapq.heappush(heap, (now, best))
+            continue
+        queue = queues[ws]
+        queue.popleft()
         order.append(best)
-        g = gates[best]
-        t = best_key[0] + 1
-        avail[g.target] = t
-        if g.control is not None:
-            avail[g.control] = t
+        for w in ws:
+            avail[w] = start + 1
+        if queue:
+            heapq.heappush(heap, (start + 1, queue[0]))
         for s in succs[best]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                ready.append(s)
+                make_ready(s)
     return [gates[i] for i in order]
 
 
@@ -370,10 +395,11 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
 def native_metrics(nc: NativeCircuit) -> NativeMetrics:
     """Depth/count summary plus comparison against the closed-form models."""
     counts = nc.counts()
-    depth = nc.depth()
+    circ = nc.as_circuit()
+    depth = schedule_slots(circ)[0]
     md = model_depth(nc.method, nc.n, nc.arch) if nc.method and nc.n else None
     mc = model_cx(nc.method, nc.n, nc.arch) if nc.method and nc.n else None
-    _, rep = cancel_cx_pairs(nc.as_circuit())
+    _, rep = cancel_cx_pairs(circ)
     return NativeMetrics(
         method=nc.method,
         n=nc.n,

@@ -27,9 +27,12 @@ from qftmcu.circuit import (
     u2,
     x,
 )
+from qftmcu import layout
 from qftmcu.layout import (
+    ARCHES,
     NATIVE_KINDS,
     NativeCircuit,
+    _commute_schedule,
     layout_permutation,
     lower_to_ngs,
     model_cx,
@@ -41,7 +44,7 @@ from qftmcu.layout import (
     synth_native,
 )
 from qftmcu.linalg import equal_up_to_global_phase
-from qftmcu.synthesis import SynthConfig, build, expected_counts
+from qftmcu.synthesis import METHODS, SynthConfig, build, expected_counts
 from qftmcu.verifier import circuit_unitary, mcu_oracle
 from tests.conftest import generic_u
 
@@ -199,6 +202,90 @@ def test_scheduler_is_deterministic(u_gen):
     b = lower_to_ngs(circ)
     assert a.gates == b.gates
     assert a.global_phase == b.global_phase
+
+
+def _reference_schedule(gates, n):
+    """The O(m * |ready|) scan ``_commute_schedule`` replaced, kept as its
+    reference: same commutation DAG, and each step emits the ready gate with
+    the least (start, index), found by scanning the whole ready list."""
+    m = len(gates)
+    succs = [[] for _ in range(m)]
+    indeg = [0] * m
+    run = {}
+    for i, g in enumerate(gates):
+        for w in g.wires():
+            basis = "z" if g.kind == "Rz" or (g.kind == "CX" and w == g.control) else "x"
+            st = run.get(w)
+            if st is None:
+                run[w] = (basis, [i], [])
+            elif st[0] == basis:
+                for q in st[2]:
+                    succs[q].append(i)
+                    indeg[i] += 1
+                st[1].append(i)
+            else:
+                for q in st[1]:
+                    succs[q].append(i)
+                    indeg[i] += 1
+                run[w] = (basis, [i], st[1])
+    ready = [i for i in range(m) if indeg[i] == 0]
+    avail = [0] * (n + 1)
+    order = []
+    while ready:
+        start, best = min((max(avail[w] for w in gates[i].wires()), i) for i in ready)
+        ready.remove(best)
+        order.append(best)
+        for w in gates[best].wires():
+            avail[w] = start + 1
+        for s in succs[best]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    return [gates[i] for i in order]
+
+
+def _assert_schedules_like_reference(gates, n):
+    got = _commute_schedule(gates, n)
+    assert [id(g) for g in got] == [id(g) for g in _reference_schedule(gates, n)]
+
+
+def test_scheduler_matches_reference_on_random_native_lists():
+    # Few wires and a small pool of CX pairs: many gates tie on their start
+    # and several ready gates share one wire tuple (Rz runs on a wire, CX
+    # with a common control or a common target).
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(3, 7))
+        pool = [tuple(int(w) for w in rng.permutation(np.arange(1, n + 1))[:2]) for _ in range(3)]
+        gates = []
+        for _ in range(int(rng.integers(1, 80))):
+            t = int(rng.integers(1, n + 1))
+            kind = rng.choice(["CX", "CX", "Rz", "Rz", "SX", "X"])
+            if kind == "CX":
+                gates.append(cx(*pool[int(rng.integers(len(pool)))]))
+            elif kind == "Rz":
+                gates.append(rz(float(rng.uniform(-np.pi, np.pi)), t))
+            else:
+                gates.append(sx(t) if kind == "SX" else x(t))
+        _assert_schedules_like_reference(gates, n)
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+@pytest.mark.parametrize("method", METHODS)
+def test_scheduler_matches_reference_on_lowered_builds(method, arch, u_gen, monkeypatch):
+    # Every list lower_to_ngs hands the scheduler, n = 5..12.
+    checked = []
+
+    def checking(gates, n):
+        _assert_schedules_like_reference(gates, n)
+        checked.append(n)
+        return _commute_schedule(gates, n)
+
+    monkeypatch.setattr(layout, "_commute_schedule", checking)
+    u = None if method == "mcx-qft" else u_gen
+    for n in range(5, 13):
+        synth_native(SynthConfig(method, n, u), arch)
+    assert checked == list(range(5, 13))
 
 
 # -- end-to-end pipeline -----------------------------------------------------------

@@ -228,8 +228,92 @@ def test_cancel_cx_reaches_fixpoint():
     circ = Circuit(3, [cx(1, 2), cx(2, 3), cx(2, 3), cx(1, 2)])
     out, report = cancel_cx_pairs(circ)
     assert out.gates == []
+    assert report.gates_before - report.gates_after == 4
     again, _ = cancel_cx_pairs(out)
     assert again.gates == []
+
+
+def test_cancel_cx_odd_run_keeps_its_last_gate():
+    gates = [cx(1, 2), cx(1, 2), cx(1, 2)]
+    out, _ = cancel_cx_pairs(Circuit(2, gates))
+    assert len(out.gates) == 1 and out.gates[0] is gates[2]
+
+
+def test_cancel_cx_pairs_a_sweep_at_a_time():
+    # The inner CX(2,3) pair and the adjacent CX(1,2) pair at the end go in
+    # the first sweep, which leaves the first CX(1,2) ahead of the Rz.
+    # Cancelling against the latest live gate would pair it with the fourth
+    # gate instead and keep the last CX(1,2), after the Rz.
+    gates = [cx(1, 2), cx(2, 3), cx(2, 3), rz(0.3, 4), cx(1, 2), cx(1, 2)]
+    out, _ = cancel_cx_pairs(Circuit(4, gates))
+    assert [id(g) for g in out.gates] == [id(gates[0]), id(gates[3])]
+
+
+def _reference_cancel(gates):
+    """The O(m^2) scan ``cancel_cx_pairs`` replaced, kept as its reference:
+    pair each CX with the next gate on either wire if that is the same CX,
+    deleting from the list, and rescan until nothing changes."""
+    gates = list(gates)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(gates):
+            g = gates[i]
+            if g.kind == "CX":
+                wires = set(g.wires())
+                for j in range(i + 1, len(gates)):
+                    other = gates[j]
+                    if wires & set(other.wires()):
+                        if (
+                            other.kind == "CX"
+                            and other.control == g.control
+                            and other.target == g.target
+                        ):
+                            del gates[j]
+                            del gates[i]
+                            changed = True
+                            i -= 1
+                        break
+            i += 1
+    return gates
+
+
+def _assert_cancels_like_reference(circ):
+    out, report = cancel_cx_pairs(circ)
+    want = _reference_cancel(circ.gates)
+    assert [id(g) for g in out.gates] == [id(g) for g in want]
+    assert report.gates_after == len(want)
+
+
+def test_cancel_cx_matches_reference_on_random_circuits():
+    # CX-heavy lists on a few wire pairs, so runs, nested cascades and odd
+    # runs are common; Rz and CP block on one or both wires.
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+        pool = [pairs[k] for k in rng.choice(len(pairs), size=min(3, len(pairs)), replace=False)]
+        gates = []
+        for _ in range(int(rng.integers(1, 40))):
+            c, t = pool[int(rng.integers(len(pool)))]
+            r = rng.random()
+            if r < 0.8:
+                gates.append(cx(c, t))
+            elif r < 0.9:
+                gates.append(rz(0.1, int(rng.integers(1, n + 1))))
+            else:
+                gates.append(cp(0.2, c, t))
+        _assert_cancels_like_reference(Circuit(n, gates))
+
+
+def test_cancel_cx_matches_reference_on_routed_circuits(u_gen):
+    from qftmcu.layout import synth_native
+
+    for method in ("mcu-mod", "mcu-zyz", "ldd"):
+        for n in range(4, 9):
+            native = synth_native(SynthConfig(method, n, u=u_gen), "lnn")
+            _assert_cancels_like_reference(native.as_circuit())
 
 
 def test_cancel_cx_preserves_unitary(u_gen):
