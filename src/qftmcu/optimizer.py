@@ -386,27 +386,23 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
 
     Deliberately conservative: the next gate touching either wire must be the
     matching CX itself, so commuting a blocker out of the way is never
-    attempted.  A cancellation can make a new pair adjacent, so this runs to
-    a fixpoint.  Useful after nearest-neighbour routing, where ping-pong
+    attempted.  Runs to a fixpoint (a cancellation can make a new pair
+    adjacent).  Useful after nearest-neighbour routing, where ping-pong
     SWAP chains leave many such pairs.
 
-    The result is that of a left-to-right scan, repeated until nothing
-    changes, that pairs each CX with the next gate on either of its wires.
-    Within one scan that next gate is the one it was when the scan began (a
-    deletion removes only the gate the scan stands on and its partner), so
-    a scan cancels the gates of every run of one CX, adjacent on both wires,
-    in pairs from the left; an odd run keeps its last gate.  A run leaves at
-    most one gate, so every pair adjacent at the start of the next scan has
-    a left gate whose successor on some wire the last scan deleted.  Each
-    gate therefore sits in a per-wire doubly linked list of live gates, and
-    every scan after the first visits only the gates whose successor
-    changed: O(m) in all.  (Cancelling against the latest live gate in one
-    stack pass removes as many gates but may keep a different copy: of
-    CX(1,2) CX(2,3) CX(2,3) Rz(4) CX(1,2) CX(1,2) the scans keep the first
-    CX(1,2), ahead of the Rz, and a stack the last.)
+    The fixpoint is that of a scan repeated until nothing changes: walk the
+    gates in order and cancel each live CX with the next gate on its wires
+    when that is the same CX.  Live gates sit in per-wire doubly linked
+    lists, so finding the next gate and deleting a pair cost O(1).  A scan
+    deletes only the gate it stands on and the one after it, so the only
+    gates whose next gate changes are behind the scan; a gate that found no
+    partner keeps finding none until its next gate changes.  So each scan
+    after the first visits, in order, only the gates whose next gate the
+    last scan changed: O(m) in all, plus sorting those gates.
     """
     gates = circ.gates
-    # Node 2i is gate i on its target wire, 2i + 1 on its control wire.
+    # The live gates on each wire, doubly linked: node 2i is gate i on its
+    # target wire, node 2i + 1 gate i on its control wire.
     after = [-1] * (2 * len(gates))
     before = list(after)
     last: dict[int, int] = {}
@@ -419,13 +415,13 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
                 before[node] = prev
                 last[w] = node
 
-    def twin(links: list[int], i: int) -> int:
-        """The gate next to CX i along ``links`` on both wires, if it is the same CX; else -1."""
-        node = links[2 * i]
+    def partner(i: int) -> int:
+        """The next gate on CX i's wires if it is the same CX, else -1."""
+        node = after[2 * i]
         if (
             node >= 0
             and node % 2 == 0
-            and links[2 * i + 1] == node + 1
+            and after[2 * i + 1] == node + 1
             and gates[i].kind == "CX"
             and gates[node // 2].kind == "CX"
         ):
@@ -435,29 +431,21 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
     dead = [False] * len(gates)
     scan = range(len(gates))
     while scan:
-        seen: set[int] = set()
-        doomed: list[int] = []
-        for i in scan:
-            if i in seen or twin(after, i) < 0:
-                continue
-            while (k := twin(before, i)) >= 0:
-                i = k
-            run = [i]
-            while (j := twin(after, run[-1])) >= 0:
-                run.append(j)
-            seen.update(run)
-            doomed += run[: len(run) // 2 * 2]
         moved: set[int] = set()
-        for i in doomed:
-            dead[i] = True
-            for node in (2 * i, 2 * i + 1):
-                prev, nxt = before[node], after[node]
-                if prev >= 0:
-                    after[prev] = nxt
-                    moved.add(prev // 2)
-                if nxt >= 0:
-                    before[nxt] = prev
-        scan = [i for i in moved if not dead[i]]
+        for i in scan:
+            j = -1 if dead[i] else partner(i)
+            if j < 0:
+                continue
+            for k in (i, j):
+                dead[k] = True
+                for node in (2 * k, 2 * k + 1):
+                    prev, nxt = before[node], after[node]
+                    if prev >= 0:
+                        after[prev] = nxt
+                        moved.add(prev // 2)
+                    if nxt >= 0:
+                        before[nxt] = prev
+        scan = sorted(moved)
     out = Circuit(circ.n, [g for g, gone in zip(gates, dead) if not gone])
     removed = len(gates) - len(out.gates)
     return out, _report(

@@ -239,11 +239,11 @@ def test_cancel_cx_odd_run_keeps_its_last_gate():
     assert len(out.gates) == 1 and out.gates[0] is gates[2]
 
 
-def test_cancel_cx_pairs_a_sweep_at_a_time():
-    # The inner CX(2,3) pair and the adjacent CX(1,2) pair at the end go in
-    # the first sweep, which leaves the first CX(1,2) ahead of the Rz.
-    # Cancelling against the latest live gate would pair it with the fourth
-    # gate instead and keep the last CX(1,2), after the Rz.
+def test_cancel_cx_keeps_the_copy_the_scan_keeps():
+    # The first scan cancels the inner CX(2,3) pair and then the adjacent
+    # CX(1,2) pair at the end, so the first CX(1,2) stays, ahead of the Rz.
+    # Cancelling each CX against the latest live gate (a per-wire stack)
+    # would pair the first CX(1,2) with the fifth gate and keep the last.
     gates = [cx(1, 2), cx(2, 3), cx(2, 3), rz(0.3, 4), cx(1, 2), cx(1, 2)]
     out, _ = cancel_cx_pairs(Circuit(4, gates))
     assert [id(g) for g in out.gates] == [id(gates[0]), id(gates[3])]
