@@ -240,7 +240,6 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     m = len(gates)
     succs: list[list[int]] = [[] for _ in range(m)]
     indeg = [0] * m
-    wires: list[tuple[int, ...]] = []
     # Per wireline: basis of the current commuting run, its members, and the
     # members of the run before it.  A gate must follow every gate of the
     # opposite-basis run immediately preceding it on each of its wirelines;
@@ -248,7 +247,6 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     run: dict[int, tuple[str, list[int], list[int]]] = {}
     for i, g in enumerate(gates):
         ws = (g.target,) if g.control is None else (g.control, g.target)
-        wires.append(ws)
         for w in ws:
             basis = _native_basis(g, w)
             st = run.get(w)
@@ -265,14 +263,18 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
                     indeg[i] += 1
                 run[w] = (basis, [i], st[1])
     avail = [0] * (n + 1)
-    queues: dict[tuple[int, ...], deque[int]] = defaultdict(deque)
+    queues: dict[tuple[int | None, int], deque[int]] = defaultdict(deque)
     heap: list[tuple[int, int]] = []
 
+    def start_of(g: Gate) -> int:
+        return avail[g.target] if g.control is None else max(avail[g.target], avail[g.control])
+
     def make_ready(i: int) -> None:
-        queue = queues[wires[i]]
+        g = gates[i]
+        queue = queues[g.control, g.target]
         queue.append(i)
         if len(queue) == 1:
-            heapq.heappush(heap, (max(avail[w] for w in wires[i]), i))
+            heapq.heappush(heap, (start_of(g), i))
 
     for i in range(m):
         if indeg[i] == 0:
@@ -280,16 +282,17 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     order: list[int] = []
     while heap:
         start, best = heapq.heappop(heap)
-        ws = wires[best]
-        now = max(avail[w] for w in ws)
+        g = gates[best]
+        now = start_of(g)
         if now != start:
             heapq.heappush(heap, (now, best))
             continue
-        queue = queues[ws]
+        queue = queues[g.control, g.target]
         queue.popleft()
         order.append(best)
-        for w in ws:
-            avail[w] = start + 1
+        avail[g.target] = start + 1
+        if g.control is not None:
+            avail[g.control] = start + 1
         if queue:
             heapq.heappush(heap, (start + 1, queue[0]))
         for s in succs[best]:

@@ -11,6 +11,7 @@ counts schedules the circuits itself.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
@@ -402,9 +403,10 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
     """
     gates = circ.gates
     # The live gates on each wire, doubly linked: node 2i is gate i on its
-    # target wire, node 2i + 1 gate i on its control wire.
-    after = [-1] * (2 * len(gates))
-    before = list(after)
+    # target wire, node 2i + 1 gate i on its control wire.  The links sit in
+    # arrays, 8 bytes each, where a list would hold an int object per link.
+    after = array("q", [-1]) * (2 * len(gates))
+    before = array("q", after)
     last: dict[int, int] = {}
     for i, g in enumerate(gates):
         for node, w in ((2 * i, g.target), (2 * i + 1, g.control)):
@@ -428,7 +430,7 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
             return node // 2
         return -1
 
-    dead = [False] * len(gates)
+    dead = bytearray(len(gates))
     scan = range(len(gates))
     while scan:
         moved: set[int] = set()
@@ -437,7 +439,7 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
             if j < 0:
                 continue
             for k in (i, j):
-                dead[k] = True
+                dead[k] = 1
                 for node in (2 * k, 2 * k + 1):
                     prev, nxt = before[node], after[node]
                     if prev >= 0:
