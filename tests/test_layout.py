@@ -2,12 +2,14 @@
 
 The lowering rules are pinned gate-by-gate against exact unitaries; the
 commutation-aware scheduler is held to sameness of the full circuit unitary,
-which is the property the whole pipeline stands on.
+which is the property the whole pipeline stands on, and to the gate order of
+the ready-list scan it replaced.
 """
 
 import numpy as np
 import pytest
 
+from qftmcu import layout
 from qftmcu.circuit import (
     Circuit,
     count_gates,
@@ -27,7 +29,6 @@ from qftmcu.circuit import (
     u2,
     x,
 )
-from qftmcu import layout
 from qftmcu.layout import (
     ARCHES,
     NATIVE_KINDS,
