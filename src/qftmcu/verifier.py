@@ -4,14 +4,17 @@ The multi-controlled-U oracle is the 2^n x 2^n identity except for the 2x2
 block coupling the two basis states whose control bits (wirelines 1..n-1)
 are all ones: indices 2^(n-1)-1 (target 0) and 2^n-1 (target 1).
 
-Circuit unitaries are built by applying each gate to an identity matrix via
-tensor reshapes -- exact, dense, and fast enough for the widths where a full
-unitary fits (capped at 12 qubits; beyond that, use apply_statevector, which
-handles up to 22 qubits).
+Both simulators view an array as one axis per qubit (plus trailing batch
+axes) and update it in place, gate by gate: each gate touches only the two
+target slices of its control=1 half, scaling them for a diagonal payload,
+exchanging them for X, mixing them for any other 2x2.  circuit_unitary runs
+the identity's 2^n columns through at once (capped at 12 qubits);
+apply_statevector runs one statevector, or a stack of them, up to 22 qubits.
 
 Verification is two-tier: the unitary tier compares full matrices up to
-global phase; the statevector tier (for wide circuits) compares the circuit's
-action on seeded probe states against the oracle's action, recovering the
+global phase; the statevector tier (for wide circuits) stacks seeded probe
+states, pushes them through the circuit in one pass (more above 18 qubits,
+to bound memory), and compares them with the oracle's action, recovering the
 phase from the first probe.
 """
 
@@ -27,6 +30,10 @@ from .linalg import equal_up_to_global_phase
 
 UNITARY_WIDTH_CAP = 12
 STATEVECTOR_WIDTH_CAP = 22
+# The statevector tier stacks its probes, at most this many amplitudes per
+# pass: one pass up to n=18, and never more memory than one statevector at
+# the width cap.
+_PROBE_STACK_AMPLITUDES = 1 << STATEVECTOR_WIDTH_CAP
 
 
 def mcu_oracle(u: np.ndarray, n: int) -> np.ndarray:
@@ -49,23 +56,38 @@ def mcu_oracle(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _apply_gate_tensor(tensor: np.ndarray, g, n: int) -> np.ndarray:
-    """Apply one gate to an array whose first n axes are qubit axes
-    (qubit k lives on axis n-k); any trailing axes are batch dimensions."""
+def _apply_gate(tensor: np.ndarray, g, n: int) -> np.ndarray:
+    """Apply one gate, in place, to an array whose first n axes are qubit
+    axes (qubit k lives on axis n-k); any trailing axes are batch dimensions.
+    Returns the array for the next gate: SWAP returns an axes-swapped view of
+    the same buffer, so later gates write through it."""
     if g.kind == "SWAP":
         return np.swapaxes(tensor, n - g.control, n - g.target)
-    mat = gate_unitary_1q(g.kind, g.params)
-    if g.control is None:
-        ax = n - g.target
-        t = np.tensordot(mat, tensor, axes=([1], [ax]))
-        return np.moveaxis(t, 0, ax)
-    ax_c, ax_t = n - g.control, n - g.target
-    t = np.moveaxis(tensor, ax_c, 0)
-    ax_sub = (ax_t + 1 if ax_t < ax_c else ax_t) - 1
-    sub = np.tensordot(mat, t[1], axes=([1], [ax_sub]))
-    t = t.copy()
-    t[1] = np.moveaxis(sub, 0, ax_sub)
-    return np.moveaxis(t, 0, ax_c)
+    (m00, m01), (m10, m11) = gate_unitary_1q(g.kind, g.params)
+    # The trailing Ellipsis keeps a fully indexed tensor a (0-d) view.
+    key = [slice(None)] * n + [Ellipsis]
+    if g.control is not None:
+        key[n - g.control] = 1
+    key[n - g.target] = 0
+    s0 = tensor[tuple(key)]
+    key[n - g.target] = 1
+    s1 = tensor[tuple(key)]
+    if m01 == 0 and m10 == 0:  # diagonal; a factor of exactly 1 is skipped
+        if m00 != 1:
+            s0 *= m00
+        if m11 != 1:
+            s1 *= m11
+    elif m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1:  # X: exchange
+        t0 = s0.copy()
+        s0[...] = s1
+        s1[...] = t0
+    else:
+        t1 = m01 * s1
+        s1 *= m11
+        s1 += m10 * s0
+        s0 *= m00
+        s0 += t1
+    return tensor
 
 
 def circuit_unitary(circ: Circuit, width_cap: int = UNITARY_WIDTH_CAP) -> np.ndarray:
@@ -80,30 +102,33 @@ def circuit_unitary(circ: Circuit, width_cap: int = UNITARY_WIDTH_CAP) -> np.nda
     dim = 1 << n
     tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g in circ.gates:
-        tensor = _apply_gate_tensor(tensor, g, n)
+        tensor = _apply_gate(tensor, g, n)
     return tensor.reshape(dim, dim)
 
 
 def apply_statevector(circ: Circuit, psi: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a statevector of length 2^n (n <= 22)."""
+    """Apply the circuit to a statevector of length 2^n (n <= 22), or to each
+    column of a (2^n, k) stack of them.  The input is not modified."""
     n = circ.n
     if n > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds statevector cap {STATEVECTOR_WIDTH_CAP}")
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (1 << n,):
-        raise ValueError(f"statevector must have length {1 << n}")
-    tensor = psi.copy().reshape((2,) * n)
+    psi = np.array(psi, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
+        raise ValueError(f"statevector must have length {1 << n} (or be a stack of columns)")
+    tensor = psi.reshape((2,) * n + psi.shape[1:])
     for g in circ.gates:
-        tensor = _apply_gate_tensor(tensor, g, n)
-    return tensor.reshape(-1)
+        tensor = _apply_gate(tensor, g, n)
+    return tensor.reshape(psi.shape)
 
 
 def oracle_apply(u: np.ndarray, n: int, psi: np.ndarray) -> np.ndarray:
-    """mcu_oracle(u, n) @ psi without materializing the matrix."""
-    out = np.asarray(psi, dtype=complex).copy()
+    """mcu_oracle(u, n) @ psi without materializing the matrix (psi may be a
+    (2^n,) vector or a (2^n, k) stack)."""
+    psi = np.asarray(psi, dtype=complex)
+    out = psi.copy()
     i0 = (1 << (n - 1)) - 1
     i1 = (1 << n) - 1
-    a0, a1 = out[i0], out[i1]
+    a0, a1 = psi[i0], psi[i1]
     out[i0] = u[0, 0] * a0 + u[0, 1] * a1
     out[i1] = u[1, 0] * a0 + u[1, 1] * a1
     return out
@@ -141,21 +166,26 @@ def verify_mcu(
     dim = 1 << n
     basis = [(1 << (n - 1)) - 1, dim - 1, 0]
     basis += [int(v) for v in rng.integers(0, dim, size=max(probes - 4, 1))]
-    states = []
-    for idx in basis:
-        e = np.zeros(dim, dtype=complex)
-        e[idx] = 1.0
-        states.append(e)
     dense = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    states.append(dense / np.linalg.norm(dense))
-
+    dense /= np.linalg.norm(dense)
+    columns = basis + [None]  # None: the dense probe
+    per_pass = max(1, _PROBE_STACK_AMPLITUDES >> n)
     phase = None
     max_dev = 0.0
-    for psi in states:
-        got = apply_statevector(circ, psi)
-        want = oracle_apply(u, n, psi)
+    for j in range(0, len(columns), per_pass):
+        block = columns[j : j + per_pass]
+        states = np.zeros((dim, len(block)), dtype=complex)
+        for c, idx in enumerate(block):
+            if idx is None:
+                states[:, c] = dense
+            else:
+                states[idx, c] = 1.0
+        got = apply_statevector(circ, states)
+        want = oracle_apply(u, n, states)
         if phase is None:
-            k = int(np.argmax(np.abs(want)))
-            phase = float(np.angle(got[k] / want[k]))
-        max_dev = max(max_dev, float(np.max(np.abs(got - np.exp(1j * phase) * want))))
-    return VerifyResult(max_dev <= tol, max_dev, float(phase), "statevector")
+            k = int(np.argmax(np.abs(want[:, 0])))
+            phase = float(np.angle(got[k, 0] / want[k, 0]))
+        want *= np.exp(1j * phase)
+        got -= want
+        max_dev = max(max_dev, float(np.max(np.abs(got))))
+    return VerifyResult(max_dev <= tol, max_dev, phase, "statevector")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from qftmcu.circuit import Circuit, cx, h, rz
+from qftmcu import verifier
+from qftmcu.circuit import TWO_QUBIT, Circuit, Gate, cx, h, rz
+from qftmcu.gate_algebra import gate_unitary_1q
 from qftmcu.linalg import kron
 from qftmcu.synthesis import SynthConfig, build, build_increment
 from qftmcu.verifier import (
@@ -96,6 +98,81 @@ def test_unitary_width_cap():
         circuit_unitary(Circuit(13))
 
 
+# -- the in-place kernel against its tensordot reference ----------------------
+
+def _reference_apply(tensor, g, n):
+    """The copy-and-tensordot kernel the in-place ``_apply_gate`` replaced,
+    kept as its reference: a single-qubit gate is a tensordot on the target
+    axis; a controlled gate copies the whole tensor and runs the tensordot
+    on its control=1 half."""
+    if g.kind == "SWAP":
+        return np.swapaxes(tensor, n - g.control, n - g.target)
+    mat = gate_unitary_1q(g.kind, g.params)
+    if g.control is None:
+        ax = n - g.target
+        t = np.tensordot(mat, tensor, axes=([1], [ax]))
+        return np.moveaxis(t, 0, ax)
+    ax_c, ax_t = n - g.control, n - g.target
+    t = np.moveaxis(tensor, ax_c, 0)
+    ax_sub = (ax_t + 1 if ax_t < ax_c else ax_t) - 1
+    sub = np.tensordot(mat, t[1], axes=([1], [ax_sub]))
+    t = t.copy()
+    t[1] = np.moveaxis(sub, 0, ax_sub)
+    return np.moveaxis(t, 0, ax_c)
+
+
+def _reference_run(circ, columns):
+    """Push a (2^n,) vector or a (2^n, k) stack through the reference kernel."""
+    n = circ.n
+    tensor = np.array(columns, dtype=complex).reshape((2,) * n + columns.shape[1:])
+    for g in circ.gates:
+        tensor = _reference_apply(tensor, g, n)
+    return tensor.reshape(columns.shape)
+
+
+_PAYLOAD_KINDS = ("H", "X", "SX", "SXdg", "Rz", "Ry", "Rx", "P", "U2", "CX", "CP", "CRz", "CRx", "CU2")
+
+
+def _random_gate(rng, n):
+    kinds = [k for k in _PAYLOAD_KINDS + ("SWAP",) if n > 1 or k not in TWO_QUBIT]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    wires = [int(w) for w in rng.permutation(np.arange(1, n + 1))[:2]]
+    # A zero angle makes a diagonal factor exactly 1 (P(0), CRz(0)) or a U2
+    # exactly diagonal (theta = 0), the kernel's shortcuts.
+    angles = rng.uniform(-np.pi, np.pi, size=4) * (rng.random(size=4) > 0.2)
+    params = () if kind in ("H", "X", "SX", "SXdg", "CX", "SWAP") else tuple(angles[:1])
+    if kind in ("U2", "CU2"):
+        params = tuple(angles)
+    control = wires[1] if kind in TWO_QUBIT else None
+    return Gate(kind, wires[0], control=control, params=params)
+
+
+def test_kernel_matches_reference_on_random_circuits():
+    rng = np.random.default_rng(6)
+    seen = set()
+    for _ in range(240):
+        n = int(rng.integers(1, 7))
+        circ = Circuit(n, [_random_gate(rng, n) for _ in range(int(rng.integers(1, 25)))])
+        dim = 1 << n
+        # Trailing batch axis: the unitary pushes all 2^n columns at once.
+        want = _reference_run(circ, np.eye(dim, dtype=complex))
+        assert np.abs(circuit_unitary(circ) - want).max() < 1e-13
+        # No batch axis: one statevector.
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        assert np.abs(apply_statevector(circ, psi) - _reference_run(circ, psi)).max() < 1e-13
+        after_swap = False
+        for g in circ.gates:
+            seen.add(g.kind)
+            seen.add(("n", n))
+            if g.control is not None and g.kind != "SWAP":
+                seen.add("control above" if g.control > g.target else "control below")
+            if after_swap and g.kind != "SWAP":
+                seen.add("after swap")
+            after_swap = after_swap or g.kind == "SWAP"
+    want_seen = set(_PAYLOAD_KINDS) | {"SWAP", "control above", "control below", "after swap"}
+    assert want_seen | {("n", n) for n in range(1, 7)} <= seen
+
+
 # -- apply_statevector ----------------------------------------------------------
 
 def test_statevector_increment_basis_hop():
@@ -134,6 +211,26 @@ def test_statevector_preserves_norm(u_gen):
 def test_statevector_width_mismatch():
     with pytest.raises(ValueError):
         apply_statevector(Circuit(3), np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError):
+        apply_statevector(Circuit(3), np.zeros((4, 2), dtype=complex))
+    with pytest.raises(ValueError):
+        apply_statevector(Circuit(3), np.zeros((8, 2, 2), dtype=complex))
+
+
+def test_statevector_stack_equals_single_calls(u_gen):
+    circ = build(SynthConfig("mcu-zyz", 5, u=u_gen))
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))
+    kept = stack.copy()
+    got = apply_statevector(circ, stack)
+    assert got.shape == (32, 4)
+    for j in range(4):
+        assert np.abs(got[:, j] - apply_statevector(circ, stack[:, j])).max() < 1e-14
+    # The kernel works in place, on a copy: the caller's arrays are untouched.
+    assert np.array_equal(stack, kept)
+    psi = stack[:, 0].copy()
+    apply_statevector(circ, psi)
+    assert np.array_equal(psi, kept[:, 0])
 
 
 def test_oracle_apply_matches_matrix(u_gen):
@@ -142,6 +239,10 @@ def test_oracle_apply_matches_matrix(u_gen):
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi /= np.linalg.norm(psi)
     assert np.abs(oracle_apply(u_gen, n, psi) - mcu_oracle(u_gen, n) @ psi).max() < 1e-12
+    # A (2^n, k) stack: each column is mixed from the input, not from a
+    # half-updated row.
+    stack = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    assert np.abs(oracle_apply(u_gen, n, stack) - mcu_oracle(u_gen, n) @ stack).max() < 1e-12
 
 
 # -- wide-register spot checks (n=12) ---------------------------------------------
@@ -188,6 +289,64 @@ def test_verify_statevector_tier(u_gen):
     assert res.ok
     assert res.tier == "statevector"
     assert res.max_deviation <= 1e-9
+
+
+def _reference_verify_statevector(circ, u, tol=1e-9, probes=12, seed=0):
+    """The statevector tier as it was before the probes were stacked, kept as
+    its reference: one apply_statevector call per probe, phase from the
+    first."""
+    n = circ.n
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    basis = [(1 << (n - 1)) - 1, dim - 1, 0]
+    basis += [int(v) for v in rng.integers(0, dim, size=max(probes - 4, 1))]
+    states = []
+    for idx in basis:
+        e = np.zeros(dim, dtype=complex)
+        e[idx] = 1.0
+        states.append(e)
+    dense = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    states.append(dense / np.linalg.norm(dense))
+    phase = None
+    max_dev = 0.0
+    for psi in states:
+        got = apply_statevector(circ, psi)
+        want = oracle_apply(u, n, psi)
+        if phase is None:
+            k = int(np.argmax(np.abs(want)))
+            phase = float(np.angle(got[k] / want[k]))
+        max_dev = max(max_dev, float(np.max(np.abs(got - np.exp(1j * phase) * want))))
+    return VerifyResult(max_dev <= tol, max_dev, float(phase), "statevector")
+
+
+@pytest.mark.parametrize("method", ["mcu-mod", "mcu-zyz", "ldd"])
+def test_verify_statevector_tier_matches_per_probe_loop(method, u_gen):
+    circ = build(SynthConfig(method, 13, u=u_gen))
+    got = verify_mcu(circ, u_gen)
+    want = _reference_verify_statevector(circ, u_gen)
+    assert (got.ok, got.tier) == (want.ok, want.tier) == (True, "statevector")
+    assert abs(got.max_deviation - want.max_deviation) < 1e-12
+    assert abs(got.global_phase - want.global_phase) < 1e-12
+
+
+def test_verify_statevector_tier_in_several_passes(monkeypatch, u_gen):
+    # Wide circuits push the probes through in several passes to bound
+    # memory; a smaller budget makes n=13 take four (4 + 4 + 4 + 1 probes).
+    monkeypatch.setattr(verifier, "_PROBE_STACK_AMPLITUDES", 1 << 15)
+    circ = build(SynthConfig("mcu-mod", 13, u=u_gen))
+    got = verify_mcu(circ, u_gen)
+    want = _reference_verify_statevector(circ, u_gen)
+    assert got.ok and got.tier == "statevector"
+    assert abs(got.max_deviation - want.max_deviation) < 1e-12
+    assert abs(got.global_phase - want.global_phase) < 1e-12
+
+
+def test_verify_statevector_tier_flags_wrong_circuit(u_gen):
+    circ = build(SynthConfig("mcu-mod", 13, u=u_gen, aqft_cutoff=1))
+    res = verify_mcu(circ, u_gen)
+    assert res.tier == "statevector"
+    assert not res.ok
+    assert res.max_deviation > 1e-3
 
 
 def test_verify_flags_wrong_circuit(u_gen):
