@@ -172,19 +172,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _metrics_row(method: str, n: int, arch: str, aqft, u) -> dict:
     cfg = SynthConfig(method=method, n=n, u=u, aqft_cutoff=aqft)
-    nm = native_metrics(synth_native(cfg, arch=arch))
+    nc = synth_native(cfg, arch=arch)
+    nm = native_metrics(nc)
     return {
         "n": n,
         "method": method,
         "arch": arch,
         "aqft_cutoff": "" if aqft is None else aqft,
-        "abstract_slots": nm.abstract_slots,
+        "abstract_slots": nc.abstract_slots,
         "native_depth": nm.depth,
         "cx": nm.counts.get("CX", 0),
         "rz": nm.counts.get("Rz", 0),
         "sx": nm.counts.get("SX", 0),
         "x": nm.counts.get("X", 0),
-        "swap_inserted": nm.swaps_inserted,
+        "swap_inserted": nc.swaps_inserted,
         "paper_depth_formula": "" if nm.model_depth is None else nm.model_depth,
         "deviation": "" if nm.depth_deviation is None else f"{nm.depth_deviation:.4f}",
     }

@@ -358,14 +358,8 @@ def _merge_rz(gates: list[Gate]) -> tuple[list[Gate], float]:
 
 @dataclass
 class NativeMetrics:
-    method: str | None
-    n: int | None
-    arch: str
     depth: int
     counts: dict[str, int]
-    global_phase: float
-    abstract_slots: int | None
-    swaps_inserted: int
     model_depth: int | None
     depth_deviation: float | None
     model_cx: int | None
@@ -404,14 +398,8 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
     mc = model_cx(nc.method, nc.n, nc.arch) if nc.method and nc.n else None
     _, rep = cancel_cx_pairs(circ)
     return NativeMetrics(
-        method=nc.method,
-        n=nc.n,
-        arch=nc.arch,
         depth=depth,
         counts=counts,
-        global_phase=nc.global_phase,
-        abstract_slots=nc.abstract_slots,
-        swaps_inserted=nc.swaps_inserted,
         model_depth=md,
         depth_deviation=None if md is None else (depth - md) / md,
         model_cx=mc,

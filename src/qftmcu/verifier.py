@@ -11,22 +11,23 @@ exchanging them for X, mixing them for any other 2x2.  circuit_unitary runs
 the identity's 2^n columns through at once (capped at 12 qubits);
 apply_statevector runs one statevector, or a stack of them, up to 22 qubits.
 
-Verification is two-tier: the unitary tier compares full matrices up to
-global phase; the statevector tier (for wide circuits) stacks seeded probe
-states, pushes them through the circuit in one pass (more above 18 qubits,
-to bound memory), and compares them with the oracle's action, recovering the
-phase from the first probe.
+Verification is two-tier with one comparison: the unitary tier pushes the
+identity's columns through, the statevector tier (wide circuits) stacks of
+seeded probe states, and each output stack is compared with the oracle's
+action, the phase read once, at the first column.  A NativeCircuit is checked
+as it ships: global phase folded in, final layout undone as an axis permutation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
 from .gate_algebra import gate_unitary_1q
-from .linalg import equal_up_to_global_phase
+from .layout import NativeCircuit
 
 UNITARY_WIDTH_CAP = 12
 STATEVECTOR_WIDTH_CAP = 22
@@ -42,18 +43,7 @@ def mcu_oracle(u: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     if n > UNITARY_WIDTH_CAP:
         raise ValueError(f"oracle width {n} exceeds cap {UNITARY_WIDTH_CAP}")
-    u = np.asarray(u, dtype=complex)
-    if n == 1:
-        return u.copy()
-    dim = 1 << n
-    i0 = (1 << (n - 1)) - 1
-    i1 = dim - 1
-    out = np.eye(dim, dtype=complex)
-    out[i0, i0] = u[0, 0]
-    out[i0, i1] = u[0, 1]
-    out[i1, i0] = u[1, 0]
-    out[i1, i1] = u[1, 1]
-    return out
+    return oracle_apply(u, n, np.eye(1 << n, dtype=complex))
 
 
 def _apply_gate(tensor: np.ndarray, g, n: int) -> np.ndarray:
@@ -90,13 +80,13 @@ def _apply_gate(tensor: np.ndarray, g, n: int) -> np.ndarray:
     return tensor
 
 
-def circuit_unitary(circ: Circuit, width_cap: int = UNITARY_WIDTH_CAP) -> np.ndarray:
+def circuit_unitary(circ: Circuit) -> np.ndarray:
     """Full unitary of the circuit (time order = left-to-right gate list,
     so the result is G_last @ ... @ G_first)."""
     n = circ.n
-    if n > width_cap:
+    if n > UNITARY_WIDTH_CAP:
         raise ValueError(
-            f"circuit width {n} exceeds unitary cap {width_cap}; "
+            f"circuit width {n} exceeds unitary cap {UNITARY_WIDTH_CAP}; "
             "use apply_statevector for wide circuits"
         )
     dim = 1 << n
@@ -124,6 +114,7 @@ def apply_statevector(circ: Circuit, psi: np.ndarray) -> np.ndarray:
 def oracle_apply(u: np.ndarray, n: int, psi: np.ndarray) -> np.ndarray:
     """mcu_oracle(u, n) @ psi without materializing the matrix (psi may be a
     (2^n,) vector or a (2^n, k) stack)."""
+    u = np.asarray(u, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     out = psi.copy()
     i0 = (1 << (n - 1)) - 1
@@ -142,36 +133,23 @@ class VerifyResult:
     tier: str
 
 
-def verify_mcu(
-    circ: Circuit,
-    u: np.ndarray,
-    tol: float = 1e-9,
-    probes: int = 12,
-    seed: int = 0,
-) -> VerifyResult:
-    """Check the circuit against the (n-1)-controlled-u oracle.
-
-    Tier 1 (n <= 12): full unitary comparison up to global phase.
-    Tier 2 (wider): seeded probe states -- all-ones-controls basis states,
-    random basis states, and one dense random state -- compared against the
-    oracle's action, with the global phase recovered from the first probe.
-    """
+def _outputs(circ: Circuit, u: np.ndarray):
+    """(circuit output, oracle output) pairs of (2^n, k) arrays: one for the
+    identity's columns on the unitary tier, one per probe stack above it."""
     n = circ.n
     if n <= UNITARY_WIDTH_CAP:
-        got = circuit_unitary(circ)
-        ok, phi, dev = equal_up_to_global_phase(got, mcu_oracle(u, n), tol)
-        return VerifyResult(ok, dev, phi, "unitary")
-
-    rng = np.random.default_rng(seed)
+        yield circuit_unitary(circ), mcu_oracle(u, n)
+        return
+    # Twelve seeded probes: both all-controls-on basis states, |0>, eight
+    # random basis states and one dense random state.
+    rng = np.random.default_rng(0)
     dim = 1 << n
     basis = [(1 << (n - 1)) - 1, dim - 1, 0]
-    basis += [int(v) for v in rng.integers(0, dim, size=max(probes - 4, 1))]
+    basis += [int(v) for v in rng.integers(0, dim, size=8)]
     dense = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     dense /= np.linalg.norm(dense)
     columns = basis + [None]  # None: the dense probe
     per_pass = max(1, _PROBE_STACK_AMPLITUDES >> n)
-    phase = None
-    max_dev = 0.0
     for j in range(0, len(columns), per_pass):
         block = columns[j : j + per_pass]
         states = np.zeros((dim, len(block)), dtype=complex)
@@ -180,12 +158,37 @@ def verify_mcu(
                 states[:, c] = dense
             else:
                 states[idx, c] = 1.0
-        got = apply_statevector(circ, states)
-        want = oracle_apply(u, n, states)
-        if phase is None:
+        yield apply_statevector(circ, states), oracle_apply(u, n, states)
+
+
+def verify_mcu(circ: Circuit | NativeCircuit, u: np.ndarray, tol: float = 1e-9) -> VerifyResult:
+    """Check a circuit against the (n-1)-controlled-u oracle.
+
+    ``circ`` is a Circuit, or a NativeCircuit as synth_native or lower_to_ngs
+    returns it, checked as it ships: times e^(i global_phase), with its
+    final_layout undone.  Tier 1 (n <= 12) compares the full unitary, tier 2
+    twelve seeded probe states.  The reported phase satisfies
+    ``circuit = e^(i global_phase) * oracle``, so an exactly tracked native
+    phase reads 0.
+    """
+    phase, layout = 0.0, None
+    if isinstance(circ, NativeCircuit):
+        phase, layout = circ.global_phase, circ.final_layout
+        circ = circ.as_circuit()
+    n = circ.n
+    # Output rows run over physical wirelines: logical wireline i sits on
+    # physical layout[i-1], and qubit q on axis n-q of the row index.
+    layout = layout or range(1, n + 1)
+    axes = [n - layout[n - 1 - a] for a in range(n)] + [n]
+    rel = None
+    max_dev = 0.0
+    for got, want in _outputs(circ, u):
+        got = got.reshape((2,) * n + got.shape[1:]).transpose(axes).reshape(got.shape)
+        if rel is None:
             k = int(np.argmax(np.abs(want[:, 0])))
-            phase = float(np.angle(got[k, 0] / want[k, 0]))
-        want *= np.exp(1j * phase)
+            rel = float(np.angle(got[k, 0] / want[k, 0]))
+        want *= np.exp(1j * rel)
         got -= want
         max_dev = max(max_dev, float(np.max(np.abs(got))))
-    return VerifyResult(max_dev <= tol, max_dev, phase, "statevector")
+    tier = "unitary" if n <= UNITARY_WIDTH_CAP else "statevector"
+    return VerifyResult(max_dev <= tol, max_dev, math.remainder(rel + phase, 2 * math.pi), tier)

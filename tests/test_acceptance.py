@@ -46,7 +46,7 @@ from qftmcu.synthesis import (
     expected_counts,
     expected_slots,
 )
-from qftmcu.verifier import circuit_unitary, mcu_oracle
+from qftmcu.verifier import circuit_unitary, mcu_oracle, verify_mcu
 from tests.conftest import generic_u
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,15 +116,14 @@ def test_ac1_oracle_equivalence():
                 u = X if method == "mcx-qft" else random_unitary(rng)
                 cfg = SynthConfig(method, n, u=None if method == "mcx-qft" else u)
                 for arch in ("fc", "lnn"):
-                    nc = synth_native(cfg, arch=arch)
-                    got = circuit_unitary(nc.as_circuit()) * np.exp(1j * nc.global_phase)
-                    if nc.final_layout is not None:
-                        got = layout_permutation(nc.final_layout).T @ got
-                    ok, _, dev = equal_up_to_global_phase(got, mcu_oracle(u, n), tol)
+                    res = verify_mcu(synth_native(cfg, arch=arch), u, tol)
                     checks += 1
-                    worst = max(worst, dev)
-                    if not ok:
-                        failures.append((f"native/{method}/{arch}/n{n}", dev))
+                    worst = max(worst, res.max_deviation)
+                    # The tracked phase must be exact: its residual reads 0.
+                    if not res.ok or abs(res.global_phase) >= tol:
+                        failures.append(
+                            (f"native/{method}/{arch}/n{n}", res.max_deviation, res.global_phase)
+                        )
 
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 600

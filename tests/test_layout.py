@@ -46,7 +46,7 @@ from qftmcu.layout import (
 )
 from qftmcu.linalg import equal_up_to_global_phase
 from qftmcu.synthesis import METHODS, SynthConfig, build, expected_counts
-from qftmcu.verifier import circuit_unitary, mcu_oracle
+from qftmcu.verifier import circuit_unitary, verify_mcu
 from tests.conftest import generic_u
 
 
@@ -297,12 +297,9 @@ def test_pipeline_matches_oracle(method, arch, u_gen):
     n = 5
     u = np.array([[0, 1], [1, 0]], dtype=complex) if method == "mcx-qft" else u_gen
     cfg = SynthConfig(method, n, u=None if method == "mcx-qft" else u_gen)
-    nc = synth_native(cfg, arch=arch)
-    got = circuit_unitary(nc.as_circuit()) * np.exp(1j * nc.global_phase)
-    if arch == "lnn" and nc.final_layout is not None:
-        got = layout_permutation(nc.final_layout).T @ got
-    ok, _, dev = equal_up_to_global_phase(got, mcu_oracle(u, n), 1e-9)
-    assert ok, f"{method}/{arch} dev={dev}"
+    res = verify_mcu(synth_native(cfg, arch=arch), u)
+    assert res.ok, f"{method}/{arch} dev={res.max_deviation}"
+    assert abs(res.global_phase) < 1e-9
 
 
 def test_pipeline_rejects_unknown_arch(u_gen):
@@ -368,7 +365,7 @@ def test_model_sx_matches_built_circuits(u_gen):
 def test_metrics_fields(u_gen):
     nc = synth_native(SynthConfig("mcu-mod", 5, u=u_gen))
     m = native_metrics(nc)
-    assert m.method == "mcu-mod" and m.n == 5 and m.arch == "fc"
+    assert nc.method == "mcu-mod" and nc.n == 5 and nc.arch == "fc"
     assert m.depth == nc.depth()
     assert m.counts == nc.counts()
     assert m.model_depth == 114

@@ -1,13 +1,16 @@
 """Oracles and simulators: the ground truth everything else is judged against."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qftmcu import verifier
 from qftmcu.circuit import TWO_QUBIT, Circuit, Gate, cx, h, rz
 from qftmcu.gate_algebra import gate_unitary_1q
+from qftmcu.layout import NativeCircuit, lower_to_ngs, synth_native
 from qftmcu.linalg import kron
-from qftmcu.synthesis import SynthConfig, build, build_increment
+from qftmcu.synthesis import METHODS, SynthConfig, build, build_increment
 from qftmcu.verifier import (
     VerifyResult,
     apply_statevector,
@@ -355,3 +358,58 @@ def test_verify_flags_wrong_circuit(u_gen):
     res = verify_mcu(circ, u_gen)
     assert not res.ok
     assert res.max_deviation > 1e-3
+
+
+# -- verify_mcu on native circuits, as the pipeline emits them ----------------------
+
+@pytest.mark.parametrize("method", METHODS)
+def test_verify_lowered_circuit_without_provenance(method, u_gen):
+    # lower_to_ngs leaves the provenance fields unset (nc.n is None); the
+    # width comes from the circuit itself.
+    u = X if method == "mcx-qft" else u_gen
+    nc = lower_to_ngs(build(SynthConfig(method, 5, u=None if method == "mcx-qft" else u)))
+    assert nc.n is None
+    res = verify_mcu(nc, u)
+    assert res.ok and res.tier == "unitary"
+    assert abs(res.global_phase) < 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 13])
+def test_verify_reports_phase_as_result_over_oracle(n, u_gen):
+    # A tracked phase raised by 0.3 makes the circuit e^(0.3i) times the
+    # oracle, and the reported phase says +0.3 (circuit = e^(i phi) oracle).
+    nc = lower_to_ngs(build(SynthConfig("mcu-zyz", n, u=u_gen)))
+    res = verify_mcu(replace(nc, global_phase=nc.global_phase + 0.3), u_gen)
+    assert res.ok and res.tier == ("unitary" if n <= 12 else "statevector")
+    assert res.global_phase == pytest.approx(0.3, abs=1e-9)
+
+
+def _with_wire_swaps(nc, pairs):
+    """nc followed by a SWAP (three CX) of each pair of physical wirelines,
+    with the final layout that records where each logical wireline went."""
+    layout = list(range(1, nc.width + 1))
+    gates = list(nc.gates)
+    for a, b in pairs:
+        gates += [cx(a, b), cx(b, a), cx(a, b)]
+        layout = [b if p == a else a if p == b else p for p in layout]
+    return NativeCircuit(nc.width, gates, nc.global_phase, final_layout=tuple(layout))
+
+
+# The (1 3) transposition, and a 3-cycle, whose layout differs from its
+# inverse and so pins the direction of the undo.
+@pytest.mark.parametrize("pairs", [[(1, 3)], [(1, 2), (2, 3)]], ids=["swap13", "cycle123"])
+@pytest.mark.parametrize("n", [5, 13])
+def test_verify_undoes_final_layout(n, pairs, u_gen):
+    nc = _with_wire_swaps(lower_to_ngs(build(SynthConfig("mcu-mod", n, u=u_gen))), pairs)
+    res = verify_mcu(nc, u_gen)
+    assert res.ok and res.tier == ("unitary" if n <= 12 else "statevector")
+    assert abs(res.global_phase) < 1e-9
+    assert not verify_mcu(replace(nc, final_layout=None), u_gen).ok
+
+
+def test_verify_routed_circuit_on_statevector_tier(u_gen):
+    nc = synth_native(SynthConfig("mcu-mod", 13, u=u_gen), arch="lnn")
+    assert nc.swaps_inserted > 0
+    res = verify_mcu(nc, u_gen)
+    assert (res.ok, res.tier) == (True, "statevector")
+    assert abs(res.global_phase) < 1e-9
