@@ -7,7 +7,7 @@ Four synthesis routes produce the same n-qubit multi-controlled unitary:
   mcx-qft   controls a +1/-1 pair around a ladder (payload fixed to X)
   mcu-mod   same frame, but the payload rides in as controlled roots
   mcu-zyz   Euler-angle variant that absorbs the payload into rotations
-  ldd       a deliberately naive reference expansion (for comparisons)
+  ldd       mcu-mod rewritten into controlled-Rx gates, Hadamard-free
 
 The verifier multiplies the whole circuit out (or applies it to probe
 statevectors when that would not fit) and compares against an oracle
@@ -30,7 +30,7 @@ print(f"target: {n}-qubit multi-controlled U, payload drawn at random\n")
 for method in METHODS:
     payload = None if method == "mcx-qft" else u
     circ = build(SynthConfig(method, n, u=payload))
-    slots, _ = schedule_slots(circ)
+    slots = schedule_slots(circ)
 
     oracle_payload = np.array([[0, 1], [1, 0]], dtype=complex) if payload is None else u
     res = verify_mcu(circ, oracle_payload)

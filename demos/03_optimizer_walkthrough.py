@@ -21,7 +21,7 @@ merged, report = merge_phase_columns(raw)
 
 print(f"\nmerge on the unoptimized mcx build (n={n}):")
 print(f"  gates {report.gates_before} -> {report.gates_after},"
-      f" slots {schedule_slots(raw)[0]} -> {schedule_slots(merged)[0]}")
+      f" slots {schedule_slots(raw)} -> {schedule_slots(merged)}")
 print(f"  refused: {report.refused}   detail: {report.detail or '(none)'}")
 
 # Running it again finds nothing left to do -- passes are idempotent.
@@ -41,7 +41,7 @@ print(f"  before: {count_gates(merged)}")
 print(f"  after:  {count_gates(converted)}")
 riders = [g for g in converted.gates if g.kind == "P" and g.ride]
 print(f"  surviving phase corrections: {len(riders)} (all slot-riders)")
-print(f"  slots unchanged: {schedule_slots(converted)[0] == schedule_slots(merged)[0]}")
+print(f"  slots unchanged: {schedule_slots(converted) == schedule_slots(merged)}")
 
 # On the mcu-mod build the ladders are symmetric and every correction
 # cancels -- nothing survives at all.

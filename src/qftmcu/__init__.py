@@ -8,7 +8,6 @@ everything against brute-force oracles.
 from .circuit import (
     Circuit,
     Gate,
-    count_classes,
     count_gates,
     from_json,
     inverse,
@@ -46,7 +45,6 @@ from .optimizer import (
     PassReport,
     cancel_cx_pairs,
     cp_to_crz,
-    insert_phase_ladder,
     ldd_to_qft,
     merge_phase_columns,
 )
@@ -58,14 +56,11 @@ from .synthesis import (
     build,
     build_decrement,
     build_increment,
-    build_ldd,
-    build_mcu_mod,
-    build_mcu_zyz,
-    build_mcx_qft,
     build_qft,
     default_aqft_cutoff,
     expected_counts,
     expected_slots,
+    insert_phase_ladder,
 )
 from .verifier import (
     VerifyResult,

@@ -100,20 +100,13 @@ class Circuit:
                 seen = g.block
         return out
 
-    def add(self, gate: Gate) -> None:
-        for w in gate.wires():
-            if not 1 <= w <= self.n:
-                raise ValueError(f"gate {gate.kind} touches wireline {w} outside 1..{self.n}")
-        self.gates.append(gate)
 
-
-def schedule_slots(circ: Circuit) -> tuple[int, list[int]]:
-    """Assign abstract time slots; returns (total, per-gate slot numbers)."""
+def schedule_slots(circ: Circuit) -> int:
+    """Assign abstract time slots; returns how many the circuit takes."""
     avail = {w: 0 for w in range(1, circ.n + 1)}
     barrier_at = {i for i, _ in circ.slot_barriers}
     floor = 0
     makespan = 0
-    slots: list[int] = [0] * len(circ.gates)
     i = 0
     gates = circ.gates
     while i < len(gates):
@@ -131,7 +124,6 @@ def schedule_slots(circ: Circuit) -> tuple[int, list[int]]:
             partner = gates[i + 1]
             slot = max([floor] + [avail[w] for w in partner.wires()]) + 1
             if slot > avail[g.target]:
-                slots[i] = slots[i + 1] = slot
                 for w in set(partner.wires()) | {g.target}:
                     avail[w] = slot
                 makespan = max(makespan, slot)
@@ -139,23 +131,11 @@ def schedule_slots(circ: Circuit) -> tuple[int, list[int]]:
                 continue
             # fall through: the rider's own wireline is the bottleneck
         slot = max([floor] + [avail[w] for w in g.wires()]) + 1
-        slots[i] = slot
         for w in g.wires():
             avail[w] = slot
         makespan = max(makespan, slot)
         i += 1
-    return makespan, slots
-
-
-_CLASS_OF = {
-    "H": "H",
-    "X": "rot1q", "SX": "rot1q", "SXdg": "rot1q", "Rz": "rot1q",
-    "Ry": "rot1q", "P": "rot1q", "Rx": "rot1q", "U2": "rot1q",
-    "CX": "CX",
-    "CP": "cphase", "CRz": "cphase", "CRx": "cphase",
-    "CU2": "CU2",
-    "SWAP": "SWAP",
-}
+    return makespan
 
 
 def count_gates(circ: Circuit) -> dict[str, int]:
@@ -163,15 +143,6 @@ def count_gates(circ: Circuit) -> dict[str, int]:
     out: dict[str, int] = {}
     for g in circ.gates:
         out[g.kind] = out.get(g.kind, 0) + 1
-    return out
-
-
-def count_classes(circ: Circuit) -> dict[str, int]:
-    """Counts folded into the reporting classes: H, single-qubit
-    phase/rotation, CX, controlled-phase (CP/CRz/CRx), CU2, SWAP."""
-    out = {"H": 0, "rot1q": 0, "CX": 0, "cphase": 0, "CU2": 0, "SWAP": 0}
-    for g in circ.gates:
-        out[_CLASS_OF[g.kind]] += 1
     return out
 
 

@@ -109,7 +109,7 @@ def _dump_json(payload) -> str:
 
 
 def _circuit_payload(circ, args, u) -> dict:
-    slots, _ = schedule_slots(circ)
+    slots = schedule_slots(circ)
     return {
         "format": "qftmcu-circuit",
         "method": args.method,
@@ -139,12 +139,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                       aqft_cutoff=args.aqft, optimize=False)
     circ = build(replace(cfg, aqft_cutoff=None))
     reports = []
-    slots = schedule_slots(circ)[0]
+    slots = schedule_slots(circ)
     for name in names:
         circ, rep = PASSES[name](circ)
         row = asdict(rep)
         del row["name"]
-        after = schedule_slots(circ)[0]
+        after = schedule_slots(circ)
         reports.append({"pass": name, **row, "slots_before": slots, "slots_after": after})
         slots = after
     if cfg.aqft_cutoff is not None:

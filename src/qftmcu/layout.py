@@ -93,19 +93,16 @@ NATIVE_KINDS = ("CX", "Rz", "SX", "X")
 
 
 @dataclass
-class NativeCircuit:
-    """A lowered circuit: native gates plus the exact global phase.
+class NativeCircuit(Circuit):
+    """A lowered circuit: a Circuit of native gates plus the exact global phase.
 
     ``gates`` only ever holds CX, Rz, SX and X.  The provenance fields are
     filled by :func:`synth_native` so that metrics can be compared against
     the closed-form depth and count models.
     """
 
-    width: int
-    gates: list[Gate]
     global_phase: float = 0.0
     method: str | None = None
-    n: int | None = None
     arch: str = "fc"
     abstract_slots: int | None = None
     swaps_inserted: int = 0
@@ -118,10 +115,11 @@ class NativeCircuit:
         return out
 
     def depth(self) -> int:
-        return schedule_slots(self.as_circuit())[0]
+        return schedule_slots(self)
 
     def as_circuit(self) -> Circuit:
-        return Circuit(self.width, list(self.gates))
+        """The gates as a plain Circuit, without phase or provenance."""
+        return Circuit(self.n, list(self.gates))
 
 
 # -- the lowering table ----------------------------------------------------------
@@ -372,7 +370,7 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
     if arch not in ARCHES:
         raise ValueError(f"unknown arch {arch!r}; expected one of {ARCHES}")
     circ = build(cfg)
-    slots = schedule_slots(circ)[0]
+    slots = schedule_slots(circ)
     swaps = 0
     layout = None
     if arch == "lnn":
@@ -381,7 +379,6 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
         layout = rep.final_layout
     nc = lower_to_ngs(circ)
     nc.method = cfg.method
-    nc.n = cfg.n
     nc.arch = arch
     nc.abstract_slots = slots
     nc.swaps_inserted = swaps
@@ -392,11 +389,10 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
 def native_metrics(nc: NativeCircuit) -> NativeMetrics:
     """Depth/count summary plus comparison against the closed-form models."""
     counts = nc.counts()
-    circ = nc.as_circuit()
-    depth = schedule_slots(circ)[0]
-    md = model_depth(nc.method, nc.n, nc.arch) if nc.method and nc.n else None
-    mc = model_cx(nc.method, nc.n, nc.arch) if nc.method and nc.n else None
-    _, rep = cancel_cx_pairs(circ)
+    depth = nc.depth()
+    md = model_depth(nc.method, nc.n, nc.arch) if nc.method else None
+    mc = model_cx(nc.method, nc.n, nc.arch) if nc.method else None
+    _, rep = cancel_cx_pairs(nc)
     return NativeMetrics(
         depth=depth,
         counts=counts,

@@ -5,7 +5,8 @@ structural passes key on the ``block`` / ``role`` annotations the builders
 attach; on circuits without annotations they refuse (flagged in the report)
 rather than guess.  All rewrites here are exactly unitary-preserving, global
 phase included.  The reports carry gate counts only; a caller that wants slot
-counts schedules the circuits itself.
+counts schedules the circuits itself.  The module holds passes only: the
+determinant-phase ladder is construction, and lives in :mod:`qftmcu.synthesis`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .circuit import (
     x,
 )
 from .gate_algebra import u2_mat, zyz_decompose
-
-LADDER_SIDES = ("plus-block", "minus-block", "split")
 
 
 @dataclass
@@ -243,76 +242,6 @@ def cp_to_crz(circ: Circuit) -> tuple[Circuit, PassReport]:
     return res, _report(
         "cp-to-crz", circ, res, detail=f"{dropped} paired corrections dropped"
     )
-
-
-# -- explicit determinant-phase ladder ------------------------------------------
-
-def split_ladder_phase(delta: float, side: str) -> tuple[float, float]:
-    """The shares of delta that ``side`` puts on the +1 and on the -1 block."""
-    if side not in LADDER_SIDES:
-        raise ValueError(f"unknown ladder side {side!r}")
-    plus = {"plus-block": delta, "minus-block": 0.0, "split": delta / 2}[side]
-    return plus, delta - plus
-
-
-def insert_phase_ladder(circ: Circuit, delta: float, side: str) -> Circuit:
-    """Attach the single-qubit phase ladder realizing a conditioned e^(i delta).
-
-    Both register blocks flip wireline k exactly when wirelines k-1..1 are all
-    1.  Bracketing one block with P(+-delta/2**(n-k)) on each control wireline
-    turns those flips into a telescoping sequence of conditioned phases whose
-    survivor is e^(i delta) precisely on the all-ones control state; each
-    level's unconditioned remainder is eaten by the level below, and the last
-    one by a single unpaired P on wireline 1 (whose bracket partner would
-    collapse anyway, the two blocks flipping that wireline unconditionally).
-
-    ``side`` picks which block is bracketed: ``plus-block``, ``minus-block``,
-    or ``split`` (half the angle around each).  Returns a plain Circuit; the
-    ladder is a fixed decoration, not a searched rewrite.
-    """
-    n = circ.n
-    plus_d, minus_d = split_ladder_phase(delta, side)
-    gates = list(circ.gates)
-
-    def span(label: str) -> tuple[int, int] | None:
-        idxs = [i for i, g in enumerate(gates) if g.block == label]
-        return (idxs[0], idxs[-1]) if idxs else None
-
-    inserts: list[tuple[int, list]] = []
-    if plus_d != 0.0:
-        ps = span(BLOCK_PLUS)
-        if ps is None:
-            raise ValueError("circuit has no +1 block to bracket")
-        lead = [p(plus_d / 2 ** (n - 2), 1, block=BLOCK_PLUS, role="ladder")]
-        lead += [
-            p(plus_d / 2 ** (n - k), k, block=BLOCK_PLUS, role="ladder")
-            for k in range(n - 1, 1, -1)
-        ]
-        trail = [
-            p(-plus_d / 2 ** (n - k), k, block=BLOCK_PLUS, role="ladder")
-            for k in range(n - 1, 1, -1)
-        ]
-        inserts.append((ps[0], lead))
-        inserts.append((ps[1] + 1, trail))
-    if minus_d != 0.0:
-        ms = span(BLOCK_MINUS)
-        if ms is None:
-            raise ValueError("circuit has no -1 block to bracket")
-        lead = [
-            p(-minus_d / 2 ** (n - k), k, block=BLOCK_MINUS, role="ladder")
-            for k in range(n - 1, 1, -1)
-        ]
-        trail = [
-            p(minus_d / 2 ** (n - k), k, block=BLOCK_MINUS, role="ladder")
-            for k in range(n - 1, 1, -1)
-        ]
-        trail += [p(minus_d / 2 ** (n - 2), 1, block=BLOCK_MINUS, role="ladder")]
-        inserts.append((ms[0], lead))
-        inserts.append((ms[1] + 1, trail))
-
-    for pos, new in sorted(inserts, key=lambda t: t[0], reverse=True):
-        gates[pos:pos] = new
-    return Circuit(n, gates)
 
 
 # -- LDD back to the QFT picture ------------------------------------------------

@@ -13,10 +13,11 @@ wireline n.  Gates carry two kinds of annotation used by the optimizer:
 * ``role``  -- ``"qft"``, ``"column"``, ``"iqft"`` or ``"ladder"`` marking a
   gate's place inside its block.
 
-Every builder returns its plain construction as a
-:class:`~qftmcu.circuit.Circuit`.  :func:`build` then runs the method's
-rewrites from :mod:`qftmcu.optimizer` (when ``optimize=True``) and the AQFT
-cutoff, in that order and nowhere else.
+Each method's builder is private and returns its plain construction,
+determinant-phase ladder included, as a :class:`~qftmcu.circuit.Circuit`.
+:func:`build`, the only entry point, then runs the method's rewrites from
+:mod:`qftmcu.optimizer` (when ``optimize=True``) and the AQFT cutoff, in that
+order and nowhere else.
 """
 
 from __future__ import annotations
@@ -41,16 +42,11 @@ from .circuit import (
 )
 from .gate_algebra import abc_split, root, u2_mat, zyz_decompose
 from .linalg import is_unitary
-from .optimizer import (
-    LADDER_SIDES,
-    cancel_x_pair,
-    collapse_cx,
-    insert_phase_ladder,
-    merge_phase_columns,
-    split_ladder_phase,
-)
+from .optimizer import cancel_x_pair, collapse_cx, merge_phase_columns
 
 METHODS = ("mcx-qft", "mcu-mod", "mcu-zyz", "ldd")
+
+LADDER_SIDES = ("plus-block", "minus-block", "split")
 
 
 @dataclass
@@ -96,11 +92,6 @@ class SynthConfig:
             )
 
 
-def _require(cfg: SynthConfig, method: str) -> None:
-    if cfg.method != method:
-        raise ValueError(f"config is for method {cfg.method!r}, not {method!r}")
-
-
 # -- QFT and register increments ----------------------------------------------
 
 def build_qft(k: int, *, block: str | None = None) -> Circuit:
@@ -143,9 +134,56 @@ def build_decrement(k: int, *, block: str = BLOCK_MINUS) -> Circuit:
     return inverse(build_increment(k, block=block))
 
 
-# -- the three constructions ---------------------------------------------------
+# -- explicit determinant-phase ladder ------------------------------------------
 
-def build_mcx_qft(cfg: SynthConfig) -> Circuit:
+def split_ladder_phase(delta: float, side: str) -> tuple[float, float]:
+    """The shares of delta that ``side`` puts on the +1 and on the -1 block."""
+    if side not in LADDER_SIDES:
+        raise ValueError(f"unknown ladder side {side!r}")
+    plus = {"plus-block": delta, "minus-block": 0.0, "split": delta / 2}[side]
+    return plus, delta - plus
+
+
+def insert_phase_ladder(circ: Circuit, delta: float, side: str) -> Circuit:
+    """Attach the single-qubit phase ladder realizing a conditioned e^(i delta).
+
+    Both register blocks flip wireline k exactly when wirelines k-1..1 are all
+    1.  Bracketing one block with P(+-delta/2**(n-k)) on each control wireline
+    turns those flips into a telescoping sequence of conditioned phases whose
+    survivor is e^(i delta) precisely on the all-ones control state; each
+    level's unconditioned remainder is eaten by the level below, and the last
+    one by a single unpaired P on wireline 1 (whose bracket partner would
+    collapse anyway, the two blocks flipping that wireline unconditionally).
+
+    ``side`` picks which block is bracketed: ``plus-block``, ``minus-block``,
+    or ``split`` (half the angle around each).  The -1 block's bracket is the
+    +1 block's mirrored: its signs flip and the unpaired P moves to the end.
+    Returns a plain Circuit; the ladder is a fixed decoration, not a searched
+    rewrite.
+    """
+    n = circ.n
+    gates = list(circ.gates)
+    inserts: list[tuple[int, list]] = []
+    for label, share in zip((BLOCK_PLUS, BLOCK_MINUS), split_ladder_phase(delta, side)):
+        if share == 0.0:
+            continue
+        span = [i for i, g in enumerate(gates) if g.block == label]
+        if not span:
+            raise ValueError(f"circuit has no {label} block to bracket")
+        tag = {"block": label, "role": "ladder"}
+        one = [p(share / 2 ** (n - 2), 1, **tag)]
+        up = [p(share / 2 ** (n - k), k, **tag) for k in range(n - 1, 1, -1)]
+        down = [p(-share / 2 ** (n - k), k, **tag) for k in range(n - 1, 1, -1)]
+        lead, trail = (one + up, down) if label == BLOCK_PLUS else (down, up + one)
+        inserts += [(span[0], lead), (span[-1] + 1, trail)]
+    for pos, new in sorted(inserts, key=lambda t: t[0], reverse=True):
+        gates[pos:pos] = new
+    return Circuit(n, gates)
+
+
+# -- the four constructions ----------------------------------------------------
+
+def _build_mcx_qft(cfg: SynthConfig) -> Circuit:
     """Multi-controlled X: increment the full register, decrement the controls.
 
     Its only rewrite is the merge, which folds the phase columns into the
@@ -153,13 +191,12 @@ def build_mcx_qft(cfg: SynthConfig) -> Circuit:
     structure itself is left alone, so the optimized circuit stays visibly
     two QFT sandwiches.
     """
-    _require(cfg, "mcx-qft")
     n = cfg.n
     gates = list(build_increment(n).gates) + list(build_decrement(n - 1).gates)
     return Circuit(n, gates)
 
 
-def build_mcu_mod(cfg: SynthConfig) -> Circuit:
+def _build_mcu_mod(cfg: SynthConfig) -> Circuit:
     """MCU via a modified increment that carries conditioned roots of u.
 
     The stage of the QFT acting on the target wireline is replaced by a
@@ -173,7 +210,6 @@ def build_mcu_mod(cfg: SynthConfig) -> Circuit:
     gates.  The other sides put (part of) that phase into an explicit ladder
     of P rotations bracketing the decrement.
     """
-    _require(cfg, "mcu-mod")
     n = cfg.n
     d, a, t, b = zyz_decompose(cfg.u)
     if n == 2:
@@ -199,7 +235,7 @@ def build_mcu_mod(cfg: SynthConfig) -> Circuit:
     return insert_phase_ladder(Circuit(n, head + column + tail + minus), ladder, "minus-block")
 
 
-def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
+def _build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     """MCU from the ZYZ conjecture form  u = e^(i d) A X B X C  with ABC = I.
 
     Both register blocks span the full width n, so the target wireline is
@@ -208,7 +244,6 @@ def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     between the blocks.  The determinant phase d always goes into an explicit
     phase ladder, on the side selected by ``phase_ladder_side``.
     """
-    _require(cfg, "mcu-zyz")
     n = cfg.n
     d, a, t, b = zyz_decompose(cfg.u)
     a_par, b_par, c_par = abc_split(a, t, b)
@@ -225,7 +260,7 @@ def build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     return insert_phase_ladder(Circuit(n, gates), d, cfg.phase_ladder_side)
 
 
-def build_ldd(cfg: SynthConfig) -> Circuit:
+def _build_ldd(cfg: SynthConfig) -> Circuit:
     """Linear-depth-decomposition form: the modified-increment MCU rewritten
     into controlled-Rx gates with every Hadamard eliminated.
 
@@ -239,7 +274,6 @@ def build_ldd(cfg: SynthConfig) -> Circuit:
     ``optimize`` flag has no effect here; :func:`build` applies the AQFT
     cutoff to the result.
     """
-    _require(cfg, "ldd")
     base = SynthConfig("mcu-mod", cfg.n, cfg.u, phase_ladder_side=cfg.phase_ladder_side)
     merged = build(base)
     out = []
@@ -259,10 +293,10 @@ def build_ldd(cfg: SynthConfig) -> Circuit:
 
 
 _BUILDERS = {
-    "mcx-qft": build_mcx_qft,
-    "mcu-mod": build_mcu_mod,
-    "mcu-zyz": build_mcu_zyz,
-    "ldd": build_ldd,
+    "mcx-qft": _build_mcx_qft,
+    "mcu-mod": _build_mcu_mod,
+    "mcu-zyz": _build_mcu_zyz,
+    "ldd": _build_ldd,
 }
 
 

@@ -161,7 +161,7 @@ def _outputs(circ: Circuit, u: np.ndarray):
         yield apply_statevector(circ, states), oracle_apply(u, n, states)
 
 
-def verify_mcu(circ: Circuit | NativeCircuit, u: np.ndarray, tol: float = 1e-9) -> VerifyResult:
+def verify_mcu(circ: Circuit, u: np.ndarray, tol: float = 1e-9) -> VerifyResult:
     """Check a circuit against the (n-1)-controlled-u oracle.
 
     ``circ`` is a Circuit, or a NativeCircuit as synth_native or lower_to_ngs
@@ -174,7 +174,6 @@ def verify_mcu(circ: Circuit | NativeCircuit, u: np.ndarray, tol: float = 1e-9) 
     phase, layout = 0.0, None
     if isinstance(circ, NativeCircuit):
         phase, layout = circ.global_phase, circ.final_layout
-        circ = circ.as_circuit()
     n = circ.n
     # Output rows run over physical wirelines: logical wireline i sits on
     # physical layout[i-1], and qubit q on axis n-q of the row index.

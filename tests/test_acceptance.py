@@ -143,14 +143,14 @@ def test_ac1_oracle_equivalence():
 def test_ac2_slot_formulas():
     bad = []
     for n in range(4, 21):
-        mod = schedule_slots(build(SynthConfig("mcu-mod", n, u=U_GEN)))[0]
+        mod = schedule_slots(build(SynthConfig("mcu-mod", n, u=U_GEN)))
         if mod != 8 * n - 18:
             bad.append(("mcu-mod", n, mod, 8 * n - 18))
-        zyz = schedule_slots(build(SynthConfig("mcu-zyz", n, u=U_GEN)))[0]
+        zyz = schedule_slots(build(SynthConfig("mcu-zyz", n, u=U_GEN)))
         if not (8 * n - 12 <= zyz <= 8 * n - 12 + 3) or zyz != expected_slots("mcu-zyz", n):
             bad.append(("mcu-zyz", n, zyz, f"[{8*n-12}, {8*n-9}]"))
-        unopt = schedule_slots(build(SynthConfig("mcx-qft", n, optimize=False)))[0]
-        opt = schedule_slots(build(SynthConfig("mcx-qft", n)))[0]
+        unopt = schedule_slots(build(SynthConfig("mcx-qft", n, optimize=False)))
+        opt = schedule_slots(build(SynthConfig("mcx-qft", n)))
         if unopt - opt != 8:
             bad.append(("mcx-qft delta", n, unopt - opt, 8))
     _verdict(
@@ -308,7 +308,7 @@ def test_ac7_ldd_simplification():
     _verdict(
         "AC7",
         ok,
-        "ldd_to_qft == build_mcu_mod structurally for n in [3..12]; native "
+        "ldd_to_qft == the mcu-mod build structurally for n in [3..12]; native "
         f"total ratios n=5..12: {', '.join(f'{ratios[n]:.2f}' for n in sorted(ratios))} "
         "(floor 1.5); unitary preserved to 1e-9 for n <= 8",
     )
@@ -396,7 +396,7 @@ def test_ac10_pass_soundness():
         check(f"cp-to-crz/mod/n{n}", build(SynthConfig("mcu-mod", n, u=U_GEN)),
               cp_to_crz)
     for n in range(4, 7):
-        native = lower_to_ngs(build(SynthConfig("mcu-mod", n, u=U_GEN))).as_circuit()
+        native = lower_to_ngs(build(SynthConfig("mcu-mod", n, u=U_GEN)))
         check(f"cancel-cx/n{n}", native, cancel_cx_pairs)
     for method in ("mcu-mod", "mcu-zyz"):
         for n in range(3, 9):

@@ -23,6 +23,7 @@ from qftmcu.circuit import (
     rx,
     ry,
     rz,
+    schedule_slots,
     swap,
     sx,
     sxdg,
@@ -45,6 +46,7 @@ from qftmcu.layout import (
     synth_native,
 )
 from qftmcu.linalg import equal_up_to_global_phase
+from qftmcu.optimizer import cancel_cx_pairs
 from qftmcu.synthesis import METHODS, SynthConfig, build, expected_counts
 from qftmcu.verifier import circuit_unitary, verify_mcu
 from tests.conftest import generic_u
@@ -53,7 +55,7 @@ from tests.conftest import generic_u
 def _native_matches_source(circ, tol=1e-12):
     nc = lower_to_ngs(circ)
     assert set(g.kind for g in nc.gates) <= set(NATIVE_KINDS)
-    got = circuit_unitary(nc.as_circuit()) * np.exp(1j * nc.global_phase)
+    got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
     want = circuit_unitary(circ)
     assert np.abs(got - want).max() < tol, f"lowering drifted by {np.abs(got-want).max()}"
     return nc
@@ -312,6 +314,25 @@ def test_pipeline_stamps_provenance(u_gen):
     assert (nc.method, nc.n, nc.arch) == ("mcu-mod", 5, "lnn")
     assert nc.abstract_slots == 22
     assert nc.swaps_inserted == 26
+
+
+# -- a native circuit is a Circuit ---------------------------------------------------
+
+def test_native_circuit_rejects_out_of_range_wireline():
+    with pytest.raises(ValueError):
+        NativeCircuit(2, [cx(1, 3)])
+
+
+def test_native_circuit_goes_straight_into_circuit_functions(u_gen):
+    # Routed at n=6, so cancel_cx_pairs has a pair to delete.
+    nc = synth_native(SynthConfig("mcu-mod", 6, u=u_gen), arch="lnn")
+    plain = nc.as_circuit()
+    assert schedule_slots(nc) == native_metrics(nc).depth == schedule_slots(plain)
+    out, rep = cancel_cx_pairs(nc)
+    want, want_rep = cancel_cx_pairs(plain)
+    assert out.gates == want.gates and rep == want_rep
+    assert rep.gates_after < rep.gates_before
+    assert np.array_equal(circuit_unitary(nc), circuit_unitary(plain))
 
 
 # -- metrics and the closed-form models ----------------------------------------------

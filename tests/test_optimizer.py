@@ -20,11 +20,16 @@ from qftmcu.optimizer import (
     PASSES,
     cancel_cx_pairs,
     cp_to_crz,
-    insert_phase_ladder,
     ldd_to_qft,
     merge_phase_columns,
 )
-from qftmcu.synthesis import SynthConfig, build, build_decrement, build_increment
+from qftmcu.synthesis import (
+    SynthConfig,
+    build,
+    build_decrement,
+    build_increment,
+    insert_phase_ladder,
+)
 from qftmcu.verifier import circuit_unitary
 
 
@@ -41,7 +46,7 @@ def test_merge_mcx_slot_delta_is_eight():
         unopt = build(SynthConfig("mcx-qft", n, optimize=False))
         merged, report = merge_phase_columns(unopt)
         assert not report.refused
-        assert schedule_slots(unopt)[0] - schedule_slots(merged)[0] == 8
+        assert schedule_slots(unopt) - schedule_slots(merged) == 8
 
 
 def test_merge_preserves_unitary():
@@ -313,13 +318,13 @@ def test_cancel_cx_matches_reference_on_routed_circuits(u_gen):
     for method in ("mcu-mod", "mcu-zyz", "ldd"):
         for n in range(4, 9):
             native = synth_native(SynthConfig(method, n, u=u_gen), "lnn")
-            _assert_cancels_like_reference(native.as_circuit())
+            _assert_cancels_like_reference(native)
 
 
 def test_cancel_cx_preserves_unitary(u_gen):
     from qftmcu.layout import lower_to_ngs
 
-    native = lower_to_ngs(build(SynthConfig("mcu-mod", 4, u=u_gen))).as_circuit()
+    native = lower_to_ngs(build(SynthConfig("mcu-mod", 4, u=u_gen)))
     out, report = cancel_cx_pairs(native)
     assert _reconciles(native, out)
 
@@ -332,9 +337,9 @@ def test_pass_registry_names():
 
 def test_composition_never_grows(u_gen):
     circ = build(SynthConfig("mcu-mod", 6, u=u_gen, optimize=False))
-    gates, slots = len(circ.gates), schedule_slots(circ)[0]
+    gates, slots = len(circ.gates), schedule_slots(circ)
     for name in ("merge", "cp-to-crz", "cancel-cx"):
         circ, report = PASSES[name](circ)
         assert len(circ.gates) <= gates
-        assert schedule_slots(circ)[0] <= slots
-        gates, slots = len(circ.gates), schedule_slots(circ)[0]
+        assert schedule_slots(circ) <= slots
+        gates, slots = len(circ.gates), schedule_slots(circ)

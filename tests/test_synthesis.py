@@ -123,8 +123,8 @@ def test_mcx_oracle_equivalence(n):
 
 @pytest.mark.parametrize("n", range(4, 21))
 def test_mcx_slots_and_merge_delta(n):
-    unopt = schedule_slots(build(SynthConfig("mcx-qft", n, optimize=False)))[0]
-    opt = schedule_slots(build(SynthConfig("mcx-qft", n)))[0]
+    unopt = schedule_slots(build(SynthConfig("mcx-qft", n, optimize=False)))
+    opt = schedule_slots(build(SynthConfig("mcx-qft", n)))
     assert unopt == expected_slots("mcx-qft", n, optimize=False) == 8 * n - 6
     assert opt == expected_slots("mcx-qft", n) == 8 * n - 14
     assert unopt - opt == 8
@@ -157,14 +157,14 @@ def test_mod_oracle_equivalence_all_ladder_sides(n, side, u_gen):
 
 def test_mod_n5_frozen_example(u_gen):
     circ = build(SynthConfig("mcu-mod", 5, u=u_gen))
-    assert schedule_slots(circ)[0] == 22
+    assert schedule_slots(circ) == 22
     assert count_gates(circ) == {"H": 8, "CP": 16, "CU2": 7, "CX": 2}
 
 
 @pytest.mark.parametrize("n", range(4, 21))
 def test_mod_slots_formula(n, u_gen):
     circ = build(SynthConfig("mcu-mod", n, u=u_gen))
-    assert schedule_slots(circ)[0] == expected_slots("mcu-mod", n) == 8 * n - 18
+    assert schedule_slots(circ) == expected_slots("mcu-mod", n) == 8 * n - 18
 
 
 @pytest.mark.parametrize("n", range(4, 21))
@@ -207,13 +207,13 @@ def test_zyz_oracle_equivalence(n, u_gen):
 
 def test_zyz_n5_frozen_example(u_gen):
     circ = build(SynthConfig("mcu-zyz", 5, u=u_gen))
-    assert schedule_slots(circ)[0] == 31
+    assert schedule_slots(circ) == 31
     assert count_gates(circ) == {"H": 12, "CP": 30, "CX": 2, "P": 7, "U2": 3}
 
 
 @pytest.mark.parametrize("n", range(4, 21))
 def test_zyz_slots_formula(n, u_gen):
-    slots = schedule_slots(build(SynthConfig("mcu-zyz", n, u=u_gen)))[0]
+    slots = schedule_slots(build(SynthConfig("mcu-zyz", n, u=u_gen)))
     assert slots == expected_slots("mcu-zyz", n) == 8 * n - 9
     # Register blocks take 8n-12; A, B, C add at most three more.
     assert 8 * n - 12 <= slots <= 8 * n - 12 + 3
@@ -349,10 +349,3 @@ def test_build_dispatch_covers_methods(u_gen):
         circ = build(cfg)
         assert circ.n == n
         assert len(circ.gates) > 0
-
-
-def test_build_rejects_mismatched_helper(u_gen):
-    from qftmcu.synthesis import build_mcu_mod
-
-    with pytest.raises(ValueError):
-        build_mcu_mod(SynthConfig("mcu-zyz", 4, u=u_gen))

@@ -364,11 +364,11 @@ def test_verify_flags_wrong_circuit(u_gen):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_verify_lowered_circuit_without_provenance(method, u_gen):
-    # lower_to_ngs leaves the provenance fields unset (nc.n is None); the
-    # width comes from the circuit itself.
+    # lower_to_ngs leaves the provenance fields unset (no method); the width
+    # is the circuit's own.
     u = X if method == "mcx-qft" else u_gen
     nc = lower_to_ngs(build(SynthConfig(method, 5, u=None if method == "mcx-qft" else u)))
-    assert nc.n is None
+    assert nc.method is None and nc.n == 5
     res = verify_mcu(nc, u)
     assert res.ok and res.tier == "unitary"
     assert abs(res.global_phase) < 1e-9
@@ -387,12 +387,12 @@ def test_verify_reports_phase_as_result_over_oracle(n, u_gen):
 def _with_wire_swaps(nc, pairs):
     """nc followed by a SWAP (three CX) of each pair of physical wirelines,
     with the final layout that records where each logical wireline went."""
-    layout = list(range(1, nc.width + 1))
+    layout = list(range(1, nc.n + 1))
     gates = list(nc.gates)
     for a, b in pairs:
         gates += [cx(a, b), cx(b, a), cx(a, b)]
         layout = [b if p == a else a if p == b else p for p in layout]
-    return NativeCircuit(nc.width, gates, nc.global_phase, final_layout=tuple(layout))
+    return NativeCircuit(nc.n, gates, nc.global_phase, final_layout=tuple(layout))
 
 
 # The (1 3) transposition, and a 3-cycle, whose layout differs from its
