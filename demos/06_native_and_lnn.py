@@ -2,19 +2,21 @@
 Lowering to the native gate set, with and without neighbour constraints
 =======================================================================
 
-synth_native runs the whole pipeline: build, optimize, (optionally)
-route for a linear chain, then lower every abstract gate to
-{CX, Rz, SX, X} by its rule in `LOWERING` and schedule the result.  The
-returned circuit carries its exact global phase and, after routing, where
-each logical qubit ended up, so verify_mcu checks it as it ships against
-the same brute-force oracle the abstract one was checked against.
+synth_native runs the whole pipeline: build, optimize, (optionally) route
+for a linear chain (QFT stages by the neighbour swap network), then lower
+every abstract gate to {CX, Rz, SX, X} by its rule in `LOWERING` and
+schedule the result.  The returned circuit carries its exact global phase
+and, after routing, where each logical qubit ended up, so verify_mcu checks
+it as it ships against the same brute-force oracle the abstract one was
+checked against.
 """
 
 import numpy as np
 
+from qftmcu.circuit import SWAP_FUSED
 from qftmcu.gate_algebra import random_unitary
-from qftmcu.layout import synth_native
-from qftmcu.synthesis import SynthConfig
+from qftmcu.layout import route_lnn, synth_native
+from qftmcu.synthesis import SynthConfig, build
 from qftmcu.verifier import verify_mcu
 
 n = 5
@@ -32,11 +34,18 @@ for arch in ("fc", "lnn"):
     print(f"     swaps inserted: {nc.swaps_inserted}   verified vs oracle: {res.ok} "
           f"({res.max_deviation:.2e}, residual phase {res.global_phase:+.1e})\n")
 
-# On the chain every CP between distant wirelines pays for SWAPs, so both
-# depth and CX grow; the router reports exactly where the cost went.
+# On the chain each QFT stage's target walks across the lower wirelines,
+# one SWAP per wireline it passes.  A SWAP right after a controlled gate on
+# the same pair is fused with it and costs one CX more, not three; the
+# others are bare SWAPs.  Every block ends where it started, so the final
+# layout is the identity.
 fc = synth_native(cfg, arch="fc")
 lnn = synth_native(cfg, arch="lnn")
+routed, report = route_lnn(build(cfg))
+fused = sum(g.kind in SWAP_FUSED for g in routed.gates)
 print(f"LNN overhead at n={n}: "
       f"+{lnn.depth() - fc.depth()} depth, "
       f"+{lnn.counts()['CX'] - fc.counts()['CX']} CX "
-      f"({lnn.swaps_inserted} swaps, 3 CX each)")
+      f"({report.swaps_inserted} swaps: {fused} fused, 1 CX each; "
+      f"{report.swaps_inserted - fused} bare, 3 CX each)")
+print(f"final layout: {report.final_layout}")

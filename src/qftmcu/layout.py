@@ -3,9 +3,11 @@
 The native set is {CX, Rz, SX, X} (identity is never emitted).  Lowering
 tracks the global phase exactly, so a lowered circuit times e^(i phase)
 reproduces the abstract unitary to machine precision.  Routing for a linear
-nearest-neighbour architecture bubbles the control of each long-range gate
-toward its target with explicit SWAPs and reports the final logical-to-
-physical layout instead of undoing it.
+nearest-neighbour architecture walks each QFT stage's target across its
+lower wirelines with neighbour SWAPs, fused with the controlled gates they
+follow, so every block returns to the identity layout; unannotated gates
+are routed greedily and the final logical-to-physical layout is reported
+instead of undone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, Gate, normalize_angle, rz, schedule_slots, swap
+from .circuit import SWAP_FUSED, Circuit, Gate, normalize_angle, rz, schedule_slots, swap
 from .gate_algebra import abc_split
 from .optimizer import cancel_cx_pairs
 from .synthesis import build, expected_counts
@@ -36,36 +38,134 @@ class RouteReport:
     final_layout: tuple[int, ...]
 
 
+class _Line:
+    """Wirelines in a row: where each logical wireline sits, and the routed
+    gates emitted so far."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.l2p = list(range(n + 1))  # index 0 unused; l2p[i] = physical home of logical i
+        self.p2l = list(range(n + 1))
+        self.out: list[Gate] = []
+        self.swaps = 0
+
+    def emit(self, g: Gate) -> None:
+        """Append a logical gate at its physical wirelines."""
+        c = None if g.control is None else self.l2p[g.control]
+        self.out.append(replace(g, target=self.l2p[g.target], control=c))
+
+    def swap(self, a: int, b: int) -> None:
+        """Exchange physical neighbours a and b.  Right after a controlled
+        gate on the same pair the two fuse into one gate (``SWAP_FUSED``)."""
+        last = self.out[-1] if self.out else None
+        if (
+            last is not None
+            and last.kind + "SWAP" in SWAP_FUSED
+            and (last.control, last.target) in ((a, b), (b, a))
+        ):
+            self.out[-1] = replace(last, kind=last.kind + "SWAP")
+        else:
+            self.out.append(swap(a, b))
+        self.swaps += 1
+        la, lb = self.p2l[a], self.p2l[b]
+        self.p2l[a], self.p2l[b] = lb, la
+        self.l2p[la], self.l2p[lb] = b, a
+
+    def bring(self, mover: int, to: int) -> None:
+        """Step logical ``mover`` toward logical ``to`` until they are neighbours."""
+        pm, pt = self.l2p[mover], self.l2p[to]
+        while abs(pm - pt) > 1:
+            step = 1 if pt > pm else -1
+            self.swap(pm, pm + step)
+            pm += step
+
+    def arrange(self, p2l: list[int]) -> None:
+        """Bring the row to the layout ``p2l`` by neighbour swaps."""
+        for p in range(1, self.n + 1):
+            q = self.l2p[p2l[p]]
+            for r in range(q, p, -1):
+                self.swap(r - 1, r)
+
+
+def _walk(line: _Line, gates: list[Gate]) -> None:
+    """Route a QFT half: each stage's target walks across its lower wirelines.
+
+    A stage is a run of gates on one target t (its H and the controlled
+    gates onto t).  The target steps to each control, and after the gate the
+    pair swaps, so the target passes it; once the stage's gates are done the
+    target also passes the lower wirelines it has not met.  On a QFT this is
+    the neighbour swap network (Fowler, Devitt & Hollenberg, QIC 4:237, 2004;
+    Maslov, PRA 76:052310, 2007), and each controlled gate and the SWAP after
+    it are one fused gate.  A stage with a single lower wireline (t = 2)
+    passes nothing: that swap would only reorder the last two wirelines,
+    which no later stage of the half needs.
+    """
+    l2p, p2l = line.l2p, line.p2l
+    i = 0
+    while i < len(gates):
+        t = gates[i].target
+        step = 0
+        while i < len(gates) and gates[i].target == t:
+            g = gates[i]
+            i += 1
+            if g.control is None:
+                line.emit(g)
+                continue
+            line.bring(t, g.control)
+            line.emit(g)
+            if t > 2 and g.control < t:
+                step = l2p[g.control] - l2p[t]
+                line.swap(l2p[t], l2p[g.control])
+        p = l2p[t]
+        while step and 1 <= p + step <= line.n and p2l[p + step] < t:
+            line.swap(p, p + step)
+            p += step
+
+
 def route_lnn(circ: Circuit) -> tuple[Circuit, RouteReport]:
     """Make every two-qubit gate act on adjacent wirelines.
 
-    Deterministic greedy bubbling: the control's physical wireline steps
-    toward the target one SWAP at a time, and the permutation is carried
-    forward rather than undone -- later gates are remapped through it, and
-    the report's ``final_layout`` says where each logical wireline ended up.
-    The routed circuit therefore equals (layout permutation) o (original).
+    The QFT halves that the builders annotate (role ``qft`` and ``iqft``,
+    a run per block) are routed by :func:`_walk`.  A ``qft`` half walks
+    forward from the current layout; an ``iqft`` half is the mirror of its
+    reversed gate list walked from the identity, so it ends every block at
+    the identity layout (entered, if needed, through neighbour swaps to the
+    layout its mirror starts from).  Any other gate is routed greedily: its
+    control steps toward its target one SWAP at a time.  The permutation is
+    carried forward rather than undone, and the report's ``final_layout``
+    says where each logical wireline ended up, so the routed circuit equals
+    (layout permutation) o (original).  The work is O(gates + swaps).
     """
     n = circ.n
-    l2p = list(range(n + 1))  # index 0 unused; l2p[i] = physical home of logical i
-    p2l = list(range(n + 1))
-    out: list[Gate] = []
-    swaps = 0
-    for g in circ.gates:
-        if g.control is None:
-            out.append(replace(g, target=l2p[g.target]))
+    line = _Line(n)
+    gates = circ.gates
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        if g.role not in ("qft", "iqft"):
+            if g.control is not None:
+                line.bring(g.control, g.target)
+            line.emit(g)
+            i += 1
             continue
-        pc, pt = l2p[g.control], l2p[g.target]
-        while abs(pc - pt) > 1:
-            step = 1 if pt > pc else -1
-            a, b = pc, pc + step
-            out.append(swap(a, b))
-            swaps += 1
-            la, lb = p2l[a], p2l[b]
-            p2l[a], p2l[b] = lb, la
-            l2p[la], l2p[lb] = b, a
-            pc = b
-        out.append(replace(g, control=pc, target=pt))
-    return Circuit(n, out), RouteReport(swaps, tuple(l2p[1:]))
+        j = i
+        while j < len(gates) and gates[j].role == g.role and gates[j].block == g.block:
+            j += 1
+        if g.role == "qft":
+            _walk(line, gates[i:j])
+        else:
+            mirror = _Line(n)
+            _walk(mirror, gates[i:j][::-1])
+            line.arrange(mirror.p2l)
+            # Backwards, a fused gate is the SWAP first: its gate on the exchanged pair.
+            line.out += [
+                replace(f, target=f.control, control=f.target) if f.kind in SWAP_FUSED else f
+                for f in reversed(mirror.out)
+            ]
+            line.swaps += mirror.swaps
+            line.l2p, line.p2l = list(range(n + 1)), list(range(n + 1))
+        i = j
+    return Circuit(n, line.out), RouteReport(line.swaps, tuple(line.l2p[1:]))
 
 
 def layout_permutation(layout: tuple[int, ...]) -> np.ndarray:
@@ -160,6 +260,13 @@ def _crz_steps(g: float, control: float) -> tuple:
     )
 
 
+def _cp_steps(g: float) -> tuple:
+    return (("phase", None, g / 4),) + _crz_steps(g, g / 2)
+
+
+_SWAP_STEPS = (("CX", _C, None), ("CX", _T, None), ("CX", _C, None))
+
+
 LOWERING = {
     "Rz": lambda q: (("Rz", _T, q[0]),),
     "P": lambda q: (("phase", None, q[0] / 2), ("Rz", _T, q[0])),
@@ -171,12 +278,27 @@ LOWERING = {
     "Rx": lambda q: _u2_steps(0.0, -_PI / 2, q[0], _PI / 2),
     "U2": lambda q: _u2_steps(*q),
     "CX": lambda q: (("CX", _C, None),),
-    "CP": lambda q: (("phase", None, q[0] / 4),) + _crz_steps(q[0], q[0] / 2),
+    "CP": lambda q: _cp_steps(q[0]),
     "CRz": lambda q: _crz_steps(q[0], 0.0),
     "CRx": lambda q: _cu2_steps(0.0, -_PI / 2, q[0], _PI / 2),
     "CU2": lambda q: _cu2_steps(*q),
-    "SWAP": lambda q: (("CX", _C, None), ("CX", _T, None), ("CX", _C, None)),
+    "SWAP": lambda q: _SWAP_STEPS,
 }
+
+
+def _then_swap(steps: tuple) -> tuple:
+    """A controlled gate's template followed by a SWAP of its pair.  The
+    single-qubit steps after the template's last CX cross the SWAP to the
+    other operand, and that CX cancels the SWAP's first: a CP then a SWAP is
+    3 CX, not 2 + 3."""
+    k = max(i for i, step in enumerate(steps) if step[0] == "CX")
+    tail = tuple((kind, w if w is None else 1 - w, angle) for kind, w, angle in steps[k + 1 :])
+    return steps[:k] + _SWAP_STEPS[1:] + tail
+
+
+LOWERING.update(
+    {fused: (lambda q, k=kind: _then_swap(LOWERING[k](q))) for fused, kind in SWAP_FUSED.items()}
+)
 
 
 def _cost(kind: str, native: str) -> int:
@@ -406,19 +528,15 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 
 # -- closed-form models for the native circuits ----------------------------------
 #
-# Fully-connected depth and counts for the two MCU methods, with the
-# line-architecture overheads as additive terms.  The metrics report
-# deviations against them.
-#
-# ``model_cx`` and ``model_sx`` are derived: the abstract counts of
-# ``expected_counts`` times the per-kind costs of ``LOWERING``.  On the
-# fully-connected target the built circuits (generic payload) meet them on
-# every width; on a line ``model_cx`` adds three CX per ``model_swaps`` SWAP,
-# which the greedy router meets at n=5 only.  ``model_swaps`` and
-# ``model_depth`` are reference data, not assertions the builders must meet.
-# ``model_depth`` in particular has no stated provenance; its mcu-zyz slope
-# of 32 is that of the list-scheduled depth (32n-49), which the
-# commutation-aware scheduler packs to 26n-35.
+# ``model_cx``, ``model_sx`` and ``model_swaps`` are derived: the abstract
+# counts of ``expected_counts`` times the per-kind costs of ``LOWERING``, and
+# on a line the swaps of the stage-walk network (see ``_walk``) with the CX
+# each costs.  The built circuits (generic payload) meet them exactly on every
+# width.  ``model_depth`` is reference data: fully-connected depth for the two
+# MCU methods plus an additive line overhead, with no stated provenance; its
+# mcu-zyz slope of 32 is that of the list-scheduled depth (32n-49), which the
+# commutation-aware scheduler packs to 26n-35.  The metrics report deviations
+# against all of them.
 
 def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
     if method == "mcu-mod":
@@ -434,29 +552,32 @@ def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
     return None
 
 
-def _lowered_count(method: str, n: int, native: str) -> int | None:
+def _lowered_count(method: str, n: int, native: str) -> int:
     """Native gates of one kind in the fully-connected circuit: the pinned
     abstract counts times the per-kind cost of the lowering table.  Exact for
     CX and SX, which neither Rz merging nor the scheduler removes."""
-    if method not in ("mcu-mod", "mcu-zyz"):
-        return None
     return sum(c * _cost(kind, native) for kind, c in expected_counts(method, n).items())
 
 
-def model_cx(method: str, n: int, arch: str = "fc") -> int | None:
+def model_swaps(method: str, n: int) -> int:
+    """SWAPs the stage walk inserts (n >= 3).  Each half of a block on k
+    wirelines has stages k..3, and stage t passes its t-1 lower wirelines:
+    k(k-1)/2 - 1 swaps a half.  The +1 block spans n wirelines; the -1 block
+    n for mcu-zyz and n-1 for the others."""
+    minus = n if method == "mcu-zyz" else n - 1
+    return sum(k * (k - 1) - 2 for k in (n, minus))
+
+
+def model_cx(method: str, n: int, arch: str = "fc") -> int:
     m = _lowered_count(method, n, "CX")
-    if m is not None and arch == "lnn":
-        m += _cost("SWAP", "CX") * model_swaps(method, n)
+    if arch == "lnn":
+        # Every controlled gate passes its control, fused with that SWAP,
+        # except the two of stage 2 (one per block); the other swaps are bare.
+        fused = sum(c for kind, c in expected_counts(method, n).items() if kind + "SWAP" in SWAP_FUSED) - 2
+        swaps = model_swaps(method, n)
+        m += fused * (_cost("CPSWAP", "CX") - _cost("CP", "CX")) + (swaps - fused) * _cost("SWAP", "CX")
     return m
 
 
-def model_sx(method: str, n: int) -> int | None:
+def model_sx(method: str, n: int) -> int:
     return _lowered_count(method, n, "SX")
-
-
-def model_swaps(method: str, n: int) -> int | None:
-    if method == "mcu-mod":
-        return 2 * n * n - 6 * n + 6
-    if method == "mcu-zyz":
-        return 2 * (n - 1) ** 2
-    return None

@@ -9,7 +9,6 @@ before any assertion fires, so a red row is always accompanied by its data.
 import time
 
 import numpy as np
-import pytest
 
 from qftmcu.circuit import count_gates, schedule_slots, structural_equal
 from qftmcu.gate_algebra import (

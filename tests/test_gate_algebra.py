@@ -1,7 +1,6 @@
 """Single-qubit algebra: ZYZ, ABC, matrix roots, and the identity battery."""
 
 import numpy as np
-import pytest
 
 from qftmcu.gate_algebra import (
     abc_decompose,

@@ -15,7 +15,6 @@ from qftmcu.circuit import (
     structural_equal,
     to_json,
 )
-from qftmcu.linalg import equal_up_to_global_phase
 from qftmcu.optimizer import (
     PASSES,
     cancel_cx_pairs,

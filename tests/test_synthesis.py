@@ -4,7 +4,7 @@ frozen slot/count bookkeeping they are pinned to."""
 import numpy as np
 import pytest
 
-from qftmcu.circuit import count_gates, schedule_slots, structural_equal
+from qftmcu.circuit import count_gates, schedule_slots
 from qftmcu.linalg import equal_up_to_global_phase
 from qftmcu.synthesis import (
     METHODS,
@@ -19,8 +19,7 @@ from qftmcu.synthesis import (
     expected_counts,
     expected_slots,
 )
-from qftmcu.verifier import circuit_unitary, mcu_oracle, verify_mcu
-from tests.conftest import generic_u
+from qftmcu.verifier import circuit_unitary, mcu_oracle
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

@@ -19,7 +19,6 @@ from qftmcu.verifier import (
     oracle_apply,
     verify_mcu,
 )
-from tests.conftest import generic_u
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -350,6 +349,23 @@ def test_verify_statevector_tier_flags_wrong_circuit(u_gen):
     assert res.tier == "statevector"
     assert not res.ok
     assert res.max_deviation > 1e-3
+
+
+@pytest.mark.parametrize("method, n", [("mcx-qft", 14), ("mcu-zyz", 13)])
+def test_verify_phase_of_wrong_circuit_comes_from_the_overlap(method, n, u_gen):
+    # Truncated at cutoff 1 both circuits are wrong.  mcu-zyz's output at the
+    # first probe's largest oracle amplitude is rounding noise (~2e-16), so a
+    # phase read there is arbitrary; the overlap's phase brings the first
+    # probe as close to the oracle's output as any phase can.  (mcx-qft's
+    # first output is orthogonal to the oracle's: every phase is as close.)
+    u = X if method == "mcx-qft" else u_gen
+    circ = build(SynthConfig(method, n, u=None if method == "mcx-qft" else u, aqft_cutoff=1))
+    res = verify_mcu(circ, u)
+    assert res.tier == "statevector" and not res.ok
+    got, want = next(verifier._outputs(circ, u))
+    g, w = got[:, 0], want[:, 0]
+    closest = np.sqrt(2 - 2 * abs(np.vdot(w, g)))  # both unit vectors
+    assert abs(np.linalg.norm(g - np.exp(1j * res.global_phase) * w) - closest) < 1e-12
 
 
 def test_verify_flags_wrong_circuit(u_gen):
