@@ -34,6 +34,7 @@ from qftmcu.circuit import (
     u2,
     x,
 )
+from qftmcu.gate_algebra import zyz_decompose
 from qftmcu.layout import (
     ARCHES,
     NATIVE_KINDS,
@@ -49,7 +50,6 @@ from qftmcu.layout import (
     route_lnn,
     synth_native,
 )
-from qftmcu.gate_algebra import zyz_decompose
 from qftmcu.linalg import equal_up_to_global_phase
 from qftmcu.optimizer import cancel_cx_pairs
 from qftmcu.synthesis import METHODS, SynthConfig, build, build_qft, expected_counts
@@ -409,11 +409,13 @@ LNN_WIDTHS = range(4, 33)
 
 @pytest.fixture(scope="module")
 def lnn_builds(u_gen):
-    """Every method routed to a line and lowered, n = 4..32."""
+    """Every MCU method routed to a line and lowered, n = 4..32, and mcx-qft
+    up to n = 12."""
+    cells = [(m, n) for m in ("mcu-mod", "mcu-zyz", "ldd") for n in LNN_WIDTHS]
+    cells += [("mcx-qft", n) for n in range(4, 13)]
     return {
         (method, n): synth_native(SynthConfig(method, n, None if method == "mcx-qft" else u_gen), "lnn")
-        for method in METHODS
-        for n in LNN_WIDTHS
+        for method, n in cells
     }
 
 
