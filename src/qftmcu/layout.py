@@ -573,9 +573,10 @@ def model_cx(method: str, n: int, arch: str = "fc") -> int:
     if arch == "lnn":
         # Every controlled gate passes its control, fused with that SWAP,
         # except the two of stage 2 (one per block); the other swaps are bare.
-        fused = sum(c for kind, c in expected_counts(method, n).items() if kind + "SWAP" in SWAP_FUSED) - 2
-        swaps = model_swaps(method, n)
-        m += fused * (_cost("CPSWAP", "CX") - _cost("CP", "CX")) + (swaps - fused) * _cost("SWAP", "CX")
+        counts = expected_counts(method, n)
+        fused = sum(c for kind, c in counts.items() if kind + "SWAP" in SWAP_FUSED) - 2
+        bare = model_swaps(method, n) - fused
+        m += fused * (_cost("CPSWAP", "CX") - _cost("CP", "CX")) + bare * _cost("SWAP", "CX")
     return m
 
 

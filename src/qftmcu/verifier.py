@@ -51,8 +51,8 @@ def _apply_gate(tensor: np.ndarray, g, n: int) -> np.ndarray:
     """Apply one gate, in place, to an array whose first n axes are qubit
     axes (qubit k lives on axis n-k); any trailing axes are batch dimensions.
     Returns the array for the next gate: SWAP (and a fused kind, after its
-    controlled gate) returns an axes-swapped view of the same buffer, so later gates write
-    through it."""
+    controlled gate) returns an axes-swapped view of the same buffer, so
+    later gates write through it."""
     if g.kind == "SWAP":
         return np.swapaxes(tensor, n - g.control, n - g.target)
     (m00, m01), (m10, m11) = gate_unitary_1q(SWAP_FUSED.get(g.kind, g.kind), g.params)

@@ -414,8 +414,8 @@ def lnn_builds(u_gen):
     cells = [(m, n) for m in ("mcu-mod", "mcu-zyz", "ldd") for n in LNN_WIDTHS]
     cells += [("mcx-qft", n) for n in range(4, 13)]
     return {
-        (method, n): synth_native(SynthConfig(method, n, None if method == "mcx-qft" else u_gen), "lnn")
-        for method, n in cells
+        (m, n): synth_native(SynthConfig(m, n, None if m == "mcx-qft" else u_gen), "lnn")
+        for m, n in cells
     }
 
 

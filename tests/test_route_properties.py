@@ -31,7 +31,7 @@ TWO_QUBIT = ("CX", "CP", "CRz", "CRx", "CU2", "SWAP")
 def gates(draw, n):
     kind = draw(st.sampled_from(ONE_QUBIT + TWO_QUBIT if n > 1 else ONE_QUBIT))
     wires = draw(st.permutations(range(1, n + 1)))
-    arity = 4 if kind in ("U2", "CU2") else 1 if kind in ("Rz", "P", "Ry", "CP", "CRz", "CRx") else 0
+    arity = {"U2": 4, "CU2": 4, "Rz": 1, "P": 1, "Ry": 1, "CP": 1, "CRz": 1, "CRx": 1}.get(kind, 0)
     params = tuple(draw(ANGLES) for _ in range(arity))
     control = wires[1] if kind in TWO_QUBIT else None
     return Gate(kind, wires[0], control=control, params=params)
