@@ -17,7 +17,6 @@ from .circuit import (
     to_json,
 )
 from .gate_algebra import (
-    abc_decompose,
     controlled,
     identity_battery,
     random_unitary,

@@ -87,24 +87,18 @@ class Circuit:
                 if not 1 <= w <= self.n:
                     raise ValueError(f"gate {g.kind} touches wireline {w} outside 1..{self.n}")
 
-    @property
-    def slot_barriers(self) -> list[tuple[int, str]]:
-        """(gate index, block name) where a named-block transition forces a
-        barrier.  Derived from the per-gate block annotations."""
-        out: list[tuple[int, str]] = []
-        seen: str | None = None
-        for i, g in enumerate(self.gates):
-            if g.block is not None:
-                if seen is not None and g.block != seen:
-                    out.append((i, g.block))
-                seen = g.block
-        return out
-
 
 def schedule_slots(circ: Circuit) -> int:
     """Assign abstract time slots; returns how many the circuit takes."""
     avail = {w: 0 for w in range(1, circ.n + 1)}
-    barrier_at = {i for i, _ in circ.slot_barriers}
+    # barriers: the gates whose named block differs from the last one before them
+    barrier_at = set()
+    seen = None
+    for i, g in enumerate(circ.gates):
+        if g.block is not None:
+            if seen is not None and g.block != seen:
+                barrier_at.add(i)
+            seen = g.block
     floor = 0
     makespan = 0
     i = 0
@@ -217,9 +211,9 @@ def normalize_angle(x: float) -> float:
     return y
 
 
-def structural_equal(a: Circuit, b: Circuit, tol: float = 1e-9) -> bool:
-    """Gate-list identity: same length, kinds, operands, and params equal
-    after normalizing every angle into (-pi, pi]."""
+def structural_equal(a: Circuit, b: Circuit) -> bool:
+    """Gate-list identity: same length, kinds, operands, and params equal to
+    1e-9 after normalizing every angle into (-pi, pi]."""
     if a.n != b.n or len(a.gates) != len(b.gates):
         return False
     for ga, gb in zip(a.gates, b.gates):
@@ -228,7 +222,7 @@ def structural_equal(a: Circuit, b: Circuit, tol: float = 1e-9) -> bool:
         if len(ga.params) != len(gb.params):
             return False
         for pa, pb in zip(ga.params, gb.params):
-            if abs(normalize_angle(pa - pb)) > tol:
+            if abs(normalize_angle(pa - pb)) > 1e-9:
                 return False
     return True
 

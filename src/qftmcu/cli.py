@@ -8,7 +8,7 @@ byte-identical output files.  Subcommands:
               then apply the AQFT cutoff
   verify      build and check against the brute-force oracle (JSON verdict)
   metrics     one CSV/JSON row of native-gate statistics for a single build
-  sweep       metrics rows over an n-range x method list (depth-vs-n CSV)
+  sweep       metrics rows over a range of n x method list (depth-vs-n CSV)
   identities  run the gate-algebra identity battery
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
@@ -209,12 +209,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n_range is not None:
-        lo, hi = _parse_range(args.n_range)
-    elif args.n is not None:
-        lo, hi = _parse_range(args.n) if ".." in args.n else (int(args.n), int(args.n))
-    else:
-        raise UsageError("sweep needs --n A..B or --n-range A..B")
+    if args.n is None:
+        raise UsageError("sweep needs --n A..B")
+    lo, hi = _parse_range(args.n) if ".." in args.n else (int(args.n), int(args.n))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
@@ -293,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(fn=cmd_metrics)
 
-    p = sub.add_parser("sweep", help="metrics over an n-range x methods")
+    p = sub.add_parser("sweep", help="metrics over a range of n x methods")
     p.add_argument("--n", help="range A..B (a single integer sweeps one point)")
-    p.add_argument("--n-range", dest="n_range", metavar="A..B", help="alias for --n A..B")
     p.add_argument("--methods", default=DEFAULT_SWEEP_METHODS,
                    help=f"comma-separated method list (default {DEFAULT_SWEEP_METHODS})")
     _add_common(p, needs_method=False)

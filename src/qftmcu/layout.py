@@ -307,19 +307,19 @@ def _cost(kind: str, native: str) -> int:
     return sum(step[0] == native for step in LOWERING[kind]((1.0,) * 4))
 
 
-def _fold_turns(angle: float) -> tuple[float, float]:
-    """The angle folded into (-pi, pi], and the global phase its full turns
-    carry (0 or pi: Rz(2 pi) = -1)."""
+def _fold_turns(angle: float) -> tuple[float, int]:
+    """The angle folded into (-pi, pi], and the parity of its full turns
+    (each carries a global phase pi: Rz(2 pi) = -1)."""
     a = normalize_angle(angle)
-    return a, math.pi * (round((angle - a) / TWO_PI) % 2)
+    return a, round((angle - a) / TWO_PI) % 2
 
 
-def _emit_rz(out: list[Gate], angle: float, t: int) -> float:
-    """Append an Rz unless it vanishes; returns its full-turn phase."""
-    a, phase = _fold_turns(angle)
+def _emit_rz(out: list[Gate], angle: float, t: int) -> int:
+    """Append an Rz unless it vanishes; returns its full-turn parity."""
+    a, wraps = _fold_turns(angle)
     if abs(a) > 1e-12:
         out.append(rz(a, t))
-    return phase
+    return wraps
 
 
 def _native_basis(g: Gate, w: int) -> str:
@@ -428,40 +428,45 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
 
     Zero rotations are dropped and adjacent Rz on a wireline are merged, with
     full turns folded into the phase (Rz(2 pi) = -1).  The gates are then
-    reordered by the commutation-aware scheduler.
+    reordered by the commutation-aware scheduler.  The full turns are counted
+    as an integer parity and the template phases summed with ``math.fsum``,
+    so the phase is the correctly rounded sum, whatever the width.
     """
     out: list[Gate] = []
-    phase = 0.0
+    terms: list[float] = []
+    wraps = 0
     for g in circ.gates:
         if g.kind not in LOWERING:
             raise ValueError(f"cannot lower gate kind {g.kind!r}")
         ops = (g.target, g.control)
         for kind, w, angle in LOWERING[g.kind](g.params):
             if kind == "Rz":
-                phase += _emit_rz(out, angle, ops[w])
+                wraps += _emit_rz(out, angle, ops[w])
             elif kind == "phase":
-                phase += angle
+                terms.append(angle)
             elif kind == "CX":
                 out.append(Gate("CX", ops[1 - w], control=ops[w]))
             else:
                 out.append(Gate(kind, ops[w]))
-    kept, merge_phase = _merge_rz(out)
+    kept, merge_wraps = _merge_rz(out)
     kept = _commute_schedule(kept, circ.n)
-    kept, late_phase = _merge_rz(kept)
-    return NativeCircuit(circ.n, kept, math.fmod(phase + merge_phase + late_phase, TWO_PI))
+    kept, late_wraps = _merge_rz(kept)
+    terms.append(math.pi * ((wraps + merge_wraps + late_wraps) % 2))
+    return NativeCircuit(circ.n, kept, math.fmod(math.fsum(terms), TWO_PI))
 
 
-def _merge_rz(gates: list[Gate]) -> tuple[list[Gate], float]:
-    """Fuse runs of Rz on the same wireline; drop the ones that vanish."""
+def _merge_rz(gates: list[Gate]) -> tuple[list[Gate], int]:
+    """Fuse runs of Rz on the same wireline; drop the ones that vanish.
+    Returns the kept gates and the number of full turns folded away."""
     out: list[Gate] = []
     last: dict[int, int] = {}  # wireline -> index in out of its latest gate
-    phase = 0.0
+    wraps = 0
     for g in gates:
         if g.kind == "Rz":
             i = last.get(g.target)
             if i is not None and out[i] is not None and out[i].kind == "Rz":
                 a, wrap = _fold_turns(out[i].params[0] + g.params[0])
-                phase += wrap
+                wraps += wrap
                 if abs(a) > 1e-12:
                     out[i] = rz(a, g.target)
                 else:
@@ -471,7 +476,7 @@ def _merge_rz(gates: list[Gate]) -> tuple[list[Gate], float]:
             last[w] = len(out)
         out.append(g)
     kept = [g for g in out if g is not None]
-    return kept, phase
+    return kept, wraps
 
 
 # -- end-to-end pipeline and metrics --------------------------------------------

@@ -99,9 +99,9 @@ def eig2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, vecs
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when u.conj().T @ u is the identity within tol."""
+def is_unitary(u: np.ndarray) -> bool:
+    """True when u.conj().T @ u is the identity within 1e-10."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-10)

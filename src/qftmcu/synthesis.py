@@ -14,7 +14,7 @@ wireline n.  Gates carry two kinds of annotation used by the optimizer:
   gate's place inside its block.
 
 Each method's builder is private and returns its plain construction,
-determinant-phase ladder included, as a :class:`~qftmcu.circuit.Circuit`.
+mcu-zyz's determinant-phase ladder included, as a :class:`~qftmcu.circuit.Circuit`.
 :func:`build`, the only entry point, then runs the method's rewrites from
 :mod:`qftmcu.optimizer` (when ``optimize=True``) and the AQFT cutoff, in that
 order and nowhere else.
@@ -46,8 +46,6 @@ from .optimizer import cancel_x_pair, collapse_cx, merge_phase_columns
 
 METHODS = ("mcx-qft", "mcu-mod", "mcu-zyz", "ldd")
 
-LADDER_SIDES = ("plus-block", "minus-block", "split")
-
 
 @dataclass
 class SynthConfig:
@@ -55,11 +53,10 @@ class SynthConfig:
 
     ``u`` is the 2x2 target unitary (ignored by ``mcx-qft``, which always
     builds a multi-controlled X).  ``aqft_cutoff`` truncates controlled
-    rotations past the given root index after synthesis.  ``phase_ladder_side``
-    picks where the determinant phase of ``u`` is accounted for: folded into
-    the conditioned roots (``plus-block``), emitted as an explicit single-qubit
-    phase ladder around the decrement (``minus-block``), or half and half
-    (``split``).
+    rotations past the given root index after synthesis.  Each method has one
+    place for the determinant phase of ``u``: mcu-mod (and ldd, its rewrite)
+    folds it into the conditioned roots, mcu-zyz brackets the +1 block with a
+    phase ladder.
     """
 
     method: str
@@ -67,7 +64,6 @@ class SynthConfig:
     u: np.ndarray | None = None
     aqft_cutoff: int | None = None
     optimize: bool = True
-    phase_ladder_side: str = "plus-block"
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -86,10 +82,6 @@ class SynthConfig:
             self.u = u
         if self.aqft_cutoff is not None and not (1 <= self.aqft_cutoff <= self.n):
             raise ValueError(f"aqft_cutoff must lie in [1, {self.n}]")
-        if self.phase_ladder_side not in LADDER_SIDES:
-            raise ValueError(
-                f"unknown phase_ladder_side {self.phase_ladder_side!r}; expected one of {LADDER_SIDES}"
-            )
 
 
 # -- QFT and register increments ----------------------------------------------
@@ -136,49 +128,32 @@ def build_decrement(k: int, *, block: str = BLOCK_MINUS) -> Circuit:
 
 # -- explicit determinant-phase ladder ------------------------------------------
 
-def split_ladder_phase(delta: float, side: str) -> tuple[float, float]:
-    """The shares of delta that ``side`` puts on the +1 and on the -1 block."""
-    if side not in LADDER_SIDES:
-        raise ValueError(f"unknown ladder side {side!r}")
-    plus = {"plus-block": delta, "minus-block": 0.0, "split": delta / 2}[side]
-    return plus, delta - plus
-
-
-def insert_phase_ladder(circ: Circuit, delta: float, side: str) -> Circuit:
-    """Attach the single-qubit phase ladder realizing a conditioned e^(i delta).
+def insert_phase_ladder(circ: Circuit, delta: float) -> Circuit:
+    """Bracket the +1 block with the phase ladder realizing a conditioned e^(i delta).
 
     Both register blocks flip wireline k exactly when wirelines k-1..1 are all
-    1.  Bracketing one block with P(+-delta/2**(n-k)) on each control wireline
-    turns those flips into a telescoping sequence of conditioned phases whose
-    survivor is e^(i delta) precisely on the all-ones control state; each
-    level's unconditioned remainder is eaten by the level below, and the last
-    one by a single unpaired P on wireline 1 (whose bracket partner would
-    collapse anyway, the two blocks flipping that wireline unconditionally).
-
-    ``side`` picks which block is bracketed: ``plus-block``, ``minus-block``,
-    or ``split`` (half the angle around each).  The -1 block's bracket is the
-    +1 block's mirrored: its signs flip and the unpaired P moves to the end.
-    Returns a plain Circuit; the ladder is a fixed decoration, not a searched
-    rewrite.
+    1.  Bracketing the +1 block with P(+-delta/2**(n-k)) on each control
+    wireline turns those flips into a telescoping sequence of conditioned
+    phases whose survivor is e^(i delta) precisely on the all-ones control
+    state; each level's unconditioned remainder is eaten by the level below,
+    and the last one by a single unpaired P on wireline 1 (whose bracket
+    partner would collapse anyway, the two blocks flipping that wireline
+    unconditionally).  A zero delta adds nothing.  Returns a plain Circuit;
+    the ladder is a fixed decoration, not a searched rewrite.
     """
+    if delta == 0.0:
+        return circ
     n = circ.n
-    gates = list(circ.gates)
-    inserts: list[tuple[int, list]] = []
-    for label, share in zip((BLOCK_PLUS, BLOCK_MINUS), split_ladder_phase(delta, side)):
-        if share == 0.0:
-            continue
-        span = [i for i, g in enumerate(gates) if g.block == label]
-        if not span:
-            raise ValueError(f"circuit has no {label} block to bracket")
-        tag = {"block": label, "role": "ladder"}
-        one = [p(share / 2 ** (n - 2), 1, **tag)]
-        up = [p(share / 2 ** (n - k), k, **tag) for k in range(n - 1, 1, -1)]
-        down = [p(-share / 2 ** (n - k), k, **tag) for k in range(n - 1, 1, -1)]
-        lead, trail = (one + up, down) if label == BLOCK_PLUS else (down, up + one)
-        inserts += [(span[0], lead), (span[-1] + 1, trail)]
-    for pos, new in sorted(inserts, key=lambda t: t[0], reverse=True):
-        gates[pos:pos] = new
-    return Circuit(n, gates)
+    span = [i for i, g in enumerate(circ.gates) if g.block == BLOCK_PLUS]
+    if not span:
+        raise ValueError(f"circuit has no {BLOCK_PLUS} block to bracket")
+    tag = {"block": BLOCK_PLUS, "role": "ladder"}
+    lead = [p(delta / 2 ** (n - 2), 1, **tag)]
+    lead += [p(delta / 2 ** (n - k), k, **tag) for k in range(n - 1, 1, -1)]
+    trail = [p(-delta / 2 ** (n - k), k, **tag) for k in range(n - 1, 1, -1)]
+    gates = circ.gates
+    first, last = span[0], span[-1] + 1
+    return Circuit(n, gates[:first] + lead + gates[first:last] + trail + gates[last:])
 
 
 # -- the four constructions ----------------------------------------------------
@@ -205,21 +180,19 @@ def _build_mcu_mod(cfg: SynthConfig) -> Circuit:
     inverse QFT leaves exactly u applied when all controls are 1.  The
     decrement half is a plain register decrement on the controls.
 
-    For ``phase_ladder_side="plus-block"`` the determinant phase of u rides
-    inside the conditioned roots and the result is exact with no extra
-    gates.  The other sides put (part of) that phase into an explicit ladder
-    of P rotations bracketing the decrement.
+    The determinant phase d of u rides inside the conditioned roots: the
+    root of index m carries e^(i d/2**(m-1)), so the result is exact with no
+    phase ladder.
     """
     n = cfg.n
     d, a, t, b = zyz_decompose(cfg.u)
     if n == 2:
         return Circuit(2, [cu2((d, a, t, b), 1, 2, block=BLOCK_PLUS, role="qft", root_m=1)])
 
-    fold, ladder = split_ladder_phase(d, cfg.phase_ladder_side)
     v = u2_mat(0.0, a, t, b)
     params = {}
     for m in range(2, n + 1):
-        w = root(v, m) * np.exp(1j * fold / 2 ** (m - 1))
+        w = root(v, m) * np.exp(1j * d / 2 ** (m - 1))
         params[m] = zyz_decompose(w)
 
     head = [
@@ -232,7 +205,7 @@ def _build_mcu_mod(cfg: SynthConfig) -> Circuit:
     tail = list(inverse(Circuit(n, head)).gates)
 
     minus = list(build_decrement(n - 1).gates)
-    return insert_phase_ladder(Circuit(n, head + column + tail + minus), ladder, "minus-block")
+    return Circuit(n, head + column + tail + minus)
 
 
 def _build_mcu_zyz(cfg: SynthConfig) -> Circuit:
@@ -241,8 +214,8 @@ def _build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     Both register blocks span the full width n, so the target wireline is
     flipped (conditioned on the controls) by the increment itself and flipped
     back by the decrement; A, B, C are uncontrolled single-qubit gates slotted
-    between the blocks.  The determinant phase d always goes into an explicit
-    phase ladder, on the side selected by ``phase_ladder_side``.
+    between the blocks.  The determinant phase d goes into the phase ladder
+    that brackets the +1 block (none when d is zero).
     """
     n = cfg.n
     d, a, t, b = zyz_decompose(cfg.u)
@@ -257,7 +230,7 @@ def _build_mcu_zyz(cfg: SynthConfig) -> Circuit:
     gates += list(build_decrement(n).gates)
     if not _is_identity_u2(a_par):
         gates.append(u2(a_par, n))
-    return insert_phase_ladder(Circuit(n, gates), d, cfg.phase_ladder_side)
+    return insert_phase_ladder(Circuit(n, gates), d)
 
 
 def _build_ldd(cfg: SynthConfig) -> Circuit:
@@ -274,8 +247,7 @@ def _build_ldd(cfg: SynthConfig) -> Circuit:
     ``optimize`` flag has no effect here; :func:`build` applies the AQFT
     cutoff to the result.
     """
-    base = SynthConfig("mcu-mod", cfg.n, cfg.u, phase_ladder_side=cfg.phase_ladder_side)
-    merged = build(base)
+    merged = build(SynthConfig("mcu-mod", cfg.n, cfg.u))
     out = []
     for g in merged.gates:
         if g.kind == "H":
@@ -403,8 +375,7 @@ def expected_counts(method: str, n: int) -> dict[str, int]:
     """Per-kind gate counts of the optimized circuits.
 
     The zyz entries for P and U2 assume a generic target (nonzero determinant
-    phase and all three ZYZ factors nontrivial); same for the ldd/mod relation
-    to the plus-block ladder side.
+    phase and all three ZYZ factors nontrivial).
     """
     if method == "mcx-qft":
         return {"H": 4 * n - 6, "CP": (n - 1) ** 2 + (n - 2) ** 2, "X": 2}

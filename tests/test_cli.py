@@ -155,13 +155,6 @@ def test_sweep_deterministic_and_ordered(tmp_path):
             assert depth["mcu-zyz"] < depth["ldd"], f"n={n}"
 
 
-def test_sweep_accepts_n_range_alias(tmp_path):
-    out = tmp_path / "s.csv"
-    assert run("sweep", "--n-range", "4..5", "--methods", "mcu-mod", "--out", str(out)) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert [r["n"] for r in rows] == ["4", "5"]
-
-
 def test_sweep_single_point(tmp_path):
     out = tmp_path / "s.csv"
     assert run("sweep", "--n", "6", "--methods", "mcu-zyz", "--seed", "1",

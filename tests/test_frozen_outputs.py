@@ -5,14 +5,18 @@ and depth, and keeps its global phase; two more digests cover the ``qftmcu
 sweep`` CSV.  A refactor that claims to change no output passes only if every
 digest still matches and every phase agrees to 1e-9 (mod 2 pi).  Angles are
 rounded to 1e-9 before hashing, which keeps the digests stable under last-bit
-float differences.  The phase is compared, not hashed: it is a running sum of
-thousands of terms, and reordering the additions moves it by up to about
-1e-10 at n=20, enough to flip a digit that 1e-9 rounding keeps.
+float differences.  The phase is compared, not hashed: it is a sum of
+thousands of terms, and a phase near a multiple of 1e-9 can land on either
+side of a rounding boundary.
 
 A change that moves an output on purpose regenerates the file and says which
 cells moved and why:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py --write
+
+The rewrite keeps an entry byte-for-byte when its digest is equal and its
+phase agrees to 1e-12, drops the cells that left the grid, and prints the
+names of the entries it added or changed.
 """
 
 import hashlib
@@ -25,7 +29,7 @@ import numpy as np
 
 from qftmcu.cli import main
 from qftmcu.layout import ARCHES, synth_native
-from qftmcu.synthesis import LADDER_SIDES, METHODS, SynthConfig
+from qftmcu.synthesis import METHODS, SynthConfig
 
 FIXTURE = Path(__file__).with_name("frozen_outputs.json")
 MCU_METHODS = ("mcu-mod", "mcu-zyz", "ldd")
@@ -72,10 +76,6 @@ def _cells():
             for n in WIDE_LNN:
                 yield f"{method}/n={n}/lnn", SynthConfig(method, n, payload), "lnn"
     for method in MCU_METHODS:
-        for side in LADDER_SIDES[1:]:  # plus-block is the default, covered above
-            for n in range(3, 9):
-                cfg = SynthConfig(method, n, u, phase_ladder_side=side)
-                yield f"{method}/n={n}/fc/{side}", cfg, "fc"
         for name, payload in PAYLOADS.items():
             yield f"{method}/n=5/fc/u={name}", SynthConfig(method, 5, payload), "fc"
 
@@ -92,10 +92,10 @@ def _current(tmp: Path) -> dict[str, list]:
     return got
 
 
-def _same(got: list, want: list) -> bool:
+def _same(got: list, want: list, tol: float = 1e-9) -> bool:
     if got[0] != want[0]:
         return False
-    return want[1] is None or abs(math.remainder(got[1] - want[1], 2 * math.pi)) < 1e-9
+    return want[1] is None or abs(math.remainder(got[1] - want[1], 2 * math.pi)) < tol
 
 
 def test_outputs_match_frozen_digests(tmp_path):
@@ -114,6 +114,15 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     with tempfile.TemporaryDirectory() as tmp:
         digests = _current(Path(tmp))
-    lines = [f"  {json.dumps(name)}: {json.dumps(digests[name])}" for name in sorted(digests)]
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    moved = {n for n in digests if n not in old or not _same(digests[n], old[n], 1e-12)}
+    entries = {name: digests[name] if name in moved else old[name] for name in digests}
+    lines = [f"  {json.dumps(name)}: {json.dumps(entries[name])}" for name in sorted(entries)]
     FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(digests)} digests to {FIXTURE}")
+    dropped = sorted(old.keys() - digests.keys())
+    print(f"wrote {len(entries)} digests to {FIXTURE}: "
+          f"{len(moved)} added or changed, {len(dropped)} dropped")
+    for name in sorted(moved):
+        print(f"  changed {name}")
+    for name in dropped:
+        print(f"  dropped {name}")

@@ -3,7 +3,7 @@
 import numpy as np
 
 from qftmcu.gate_algebra import (
-    abc_decompose,
+    abc_split,
     controlled,
     gate_unitary_1q,
     identity_battery,
@@ -86,15 +86,23 @@ def test_zyz_random_reconstruction():
 
 # -- ABC ------------------------------------------------------------------------
 
+def _abc(u):
+    """Matrices (A, B, C) of the split the lowering ships, and the phase d,
+    with A B C = I and u = e^{id} A X B X C."""
+    d, a, t, b = zyz_decompose(u)
+    A, B, C = (u2_mat(*par) for par in abc_split(a, t, b))
+    return A, B, C, d
+
+
 def test_abc_identity_case():
-    A, B, C, d = abc_decompose(I2)
+    A, B, C, d = _abc(I2)
     for m in (A, B, C):
         assert np.abs(m - I2).max() < 1e-12
     assert abs(d) < 1e-12
 
 
 def test_abc_on_x():
-    A, B, C, d = abc_decompose(X)
+    A, B, C, d = _abc(X)
     assert np.abs(A @ B @ C - I2).max() < 1e-12
     assert np.abs(np.exp(1j * d) * A @ X @ B @ X @ C - X).max() < 1e-12
 
@@ -103,16 +111,17 @@ def test_abc_random_identities():
     rng = np.random.default_rng(12)
     for _ in range(1000):
         u = _haar(rng)
-        A, B, C, d = abc_decompose(u)
+        A, B, C, d = _abc(u)
         assert np.abs(A @ B @ C - I2).max() < 1e-12
         assert np.abs(np.exp(1j * d) * A @ X @ B @ X @ C - u).max() < 1e-12
 
 
-def test_abc_su2_delta_is_zero_or_pi():
+def test_abc_det_one_delta_is_zero_or_pi():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        u = random_unitary(rng, su2=True)
-        *_, d = abc_decompose(u)
+        a, b = rng.uniform(-np.pi, np.pi, size=2)
+        u = u2_mat(0.0, a, rng.uniform(0, np.pi), b)
+        *_, d = _abc(u)
         assert min(abs(d), abs(abs(d) - np.pi)) < 1e-9
 
 
@@ -150,14 +159,14 @@ def test_controlled_matches_two_qubit_oracle(u_gen):
 # -- identity battery --------------------------------------------------------------
 
 def test_identity_battery_tight():
-    results = identity_battery(draws=100)
+    results = identity_battery()
     assert len(results) >= 7
     worst = max(dev for _, dev in results)
     assert worst <= 1e-12, results
 
 
 def test_identity_battery_deterministic():
-    assert identity_battery(draws=20) == identity_battery(draws=20)
+    assert identity_battery() == identity_battery()
 
 
 # -- random gate protocol ----------------------------------------------------------
@@ -170,13 +179,6 @@ def test_random_unitary_properties():
         for trivial in (I2, X, Z):
             ok, _, _ = equal_up_to_global_phase(u, trivial, 1e-6)
             assert not ok
-
-
-def test_random_unitary_su2_flag():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        u = random_unitary(rng, su2=True)
-        assert abs(np.linalg.det(u) - 1) < 1e-12
 
 
 def test_random_unitary_seed_reproducible():

@@ -135,13 +135,13 @@ def _inc_dec_frame(n: int) -> Circuit:
 
 def test_ladder_zero_delta_is_noop():
     base = _inc_dec_frame(3)
-    assert insert_phase_ladder(base, 0.0, "minus-block").gates == base.gates
+    assert insert_phase_ladder(base, 0.0).gates == base.gates
 
 
 def test_ladder_phases_exactly_the_all_ones_controls():
     delta = np.pi / 2
     base = _inc_dec_frame(3)
-    out = insert_phase_ladder(base, delta, "minus-block")
+    out = insert_phase_ladder(base, delta)
     got = circuit_unitary(out)
     want = np.eye(8, dtype=complex)
     for a in range(8):
@@ -153,7 +153,7 @@ def test_ladder_phases_exactly_the_all_ones_controls():
 @pytest.mark.parametrize("delta", [0.37, -1.2, np.pi])
 def test_ladder_generic_deltas(delta):
     base = _inc_dec_frame(4)
-    got = circuit_unitary(insert_phase_ladder(base, delta, "minus-block"))
+    got = circuit_unitary(insert_phase_ladder(base, delta))
     want = np.eye(16, dtype=complex)
     for a in range(16):
         if (a & 0b0111) == 0b0111:

@@ -1,0 +1,45 @@
+"""Property tests for ``lower_to_ngs``, the unannotated passes and the JSON
+round trip, on the random circuits of ``test_route_properties.py`` (same
+strategy, same derandomized settings).
+
+The lowering and the passes must keep the unitary exactly, global phase
+included: the lowered circuit times e^(i global_phase) is the source
+unitary, not just equal to it up to phase.
+"""
+
+import numpy as np
+from hypothesis import given
+from test_route_properties import SETTINGS, unannotated_circuits
+
+from qftmcu.circuit import from_json, to_json
+from qftmcu.layout import NATIVE_KINDS, lower_to_ngs
+from qftmcu.optimizer import cancel_cx_pairs, cp_to_crz
+from qftmcu.verifier import circuit_unitary
+
+
+@SETTINGS
+@given(unannotated_circuits())
+def test_lowering_is_native_and_exact_with_its_phase(circ):
+    nc = lower_to_ngs(circ)
+    assert {g.kind for g in nc.gates} <= set(NATIVE_KINDS)
+    got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
+    assert np.abs(got - circuit_unitary(circ)).max() < 1e-10
+
+
+@SETTINGS
+@given(unannotated_circuits())
+def test_unannotated_passes_keep_the_unitary(circ):
+    want = circuit_unitary(circ)
+    for rewrite in (cp_to_crz, cancel_cx_pairs):
+        out, _ = rewrite(circ)
+        assert np.abs(circuit_unitary(out) - want).max() < 1e-10, rewrite.__name__
+
+
+@SETTINGS
+@given(unannotated_circuits())
+def test_json_round_trip_keeps_kinds_wires_and_params(circ):
+    back = from_json(to_json(circ))
+    assert back.n == circ.n
+    assert [(g.kind, g.target, g.control, g.params) for g in back.gates] == [
+        (g.kind, g.target, g.control, g.params) for g in circ.gates
+    ]

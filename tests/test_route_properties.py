@@ -4,34 +4,38 @@ Unannotated circuits take the greedy branch, annotated builds the stage
 walk.  Either way every two-qubit gate of the routed circuit acts on
 neighbouring wirelines, and the routed unitary is exactly the layout
 permutation after the original one.  The examples are derandomized, so
-every run checks the same draws.
+every run checks the same draws.  ``unannotated_circuits`` and ``SETTINGS``
+are shared with the pass, lowering and JSON properties in
+``test_pass_properties.py``.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qftmcu.circuit import Circuit, Gate
+from qftmcu.circuit import SWAP_FUSED, Circuit, Gate
 from qftmcu.gate_algebra import I2, Z, p_mat, u2_mat
 from qftmcu.layout import layout_permutation, lower_to_ngs, route_lnn
-from qftmcu.synthesis import LADDER_SIDES, METHODS, SynthConfig, build
+from qftmcu.synthesis import METHODS, SynthConfig, build
 from qftmcu.verifier import circuit_unitary
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
+# 0, +-pi and +-2 pi exercise the lowering's full-turn wraps and zero drops.
 ANGLES = st.one_of(
-    st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2]),
+    st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2, 2 * np.pi, -2 * np.pi]),
     st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False),
 )
-ONE_QUBIT = ("H", "X", "SX", "Rz", "P", "Ry", "U2")
-TWO_QUBIT = ("CX", "CP", "CRz", "CRx", "CU2", "SWAP")
+ONE_QUBIT = ("H", "X", "SX", "SXdg", "Rz", "P", "Ry", "Rx", "U2")
+TWO_QUBIT = ("CX", "CP", "CRz", "CRx", "CU2", "SWAP", *sorted(SWAP_FUSED))
+ARITY = {"U2": 4, "CU2": 4, "Rz": 1, "P": 1, "Ry": 1, "Rx": 1, "CP": 1, "CRz": 1, "CRx": 1}
 
 
 @st.composite
 def gates(draw, n):
     kind = draw(st.sampled_from(ONE_QUBIT + TWO_QUBIT if n > 1 else ONE_QUBIT))
     wires = draw(st.permutations(range(1, n + 1)))
-    arity = {"U2": 4, "CU2": 4, "Rz": 1, "P": 1, "Ry": 1, "CP": 1, "CRz": 1, "CRx": 1}.get(kind, 0)
+    arity = ARITY.get(SWAP_FUSED.get(kind, kind), 0)  # a fused kind takes its gate's params
     params = tuple(draw(ANGLES) for _ in range(arity))
     control = wires[1] if kind in TWO_QUBIT else None
     return Gate(kind, wires[0], control=control, params=params)
@@ -65,7 +69,6 @@ def annotated_builds(draw):
         None if method == "mcx-qft" else _payload(draw),
         aqft_cutoff=cutoff,
         optimize=draw(st.booleans()),
-        phase_ladder_side=draw(st.sampled_from(LADDER_SIDES)),
     )
     return build(cfg)
 
