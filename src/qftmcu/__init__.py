@@ -43,7 +43,6 @@ from .optimizer import (
     PASSES,
     PassReport,
     cancel_cx_pairs,
-    cp_to_crz,
     ldd_to_qft,
     merge_phase_columns,
 )

@@ -6,16 +6,11 @@ Scheduling into abstract time slots is deterministic list-order ASAP: every
 gate takes the earliest slot at or after the availability of each wireline it
 touches, with availability updated in list order (gates are never reordered).
 
-Two scheduling refinements mirror how the synthesis blocks are drawn:
-
-* named blocks ("+1", "-1", "QFT") are separated by a barrier -- the first
-  gate of a new named block starts after the makespan of everything before
-  it.  Unnamed gates (e.g. the ZYZ A/B/C gates) never trigger barriers and
-  simply pack into whichever group the ASAP rule puts them.
-* a P gate carrying ``ride=True`` forms a composite with the next gate on the
-  same wireline and shares its slot (phase corrections that are "an integral
-  part" of the controlled gate they decorate).  The flag is set explicitly by
-  the synthesizer/passes, never inferred.
+Named blocks ("+1", "-1", "QFT") are separated by a barrier, mirroring how
+the synthesis blocks are drawn: the first gate of a new named block starts
+after the makespan of everything before it.  Unnamed gates (e.g. the ZYZ
+A/B/C gates) never trigger barriers and simply pack into whichever group the
+ASAP rule puts them.
 """
 
 from __future__ import annotations
@@ -47,8 +42,8 @@ class Gate:
     controlled gate followed by a SWAP of the pair.  U2/CU2 carry ZYZ params
     (delta, alpha, theta, beta) meaning e^{i delta} Rz(alpha) Ry(theta) Rz(beta).
 
-    block/role/ride are scheduling and rewrite annotations; they are not part
-    of the serialized format.
+    block/role/root_m are scheduling and rewrite annotations; they are not
+    part of the serialized format.
     """
 
     kind: str
@@ -57,7 +52,6 @@ class Gate:
     params: tuple[float, ...] = ()
     block: str | None = None
     role: str | None = None
-    ride: bool = False
     root_m: int | None = None
 
     def __post_init__(self) -> None:
@@ -91,44 +85,17 @@ class Circuit:
 def schedule_slots(circ: Circuit) -> int:
     """Assign abstract time slots; returns how many the circuit takes."""
     avail = {w: 0 for w in range(1, circ.n + 1)}
-    # barriers: the gates whose named block differs from the last one before them
-    barrier_at = set()
-    seen = None
-    for i, g in enumerate(circ.gates):
+    floor = makespan = 0
+    block = None
+    for g in circ.gates:
         if g.block is not None:
-            if seen is not None and g.block != seen:
-                barrier_at.add(i)
-            seen = g.block
-    floor = 0
-    makespan = 0
-    i = 0
-    gates = circ.gates
-    while i < len(gates):
-        g = gates[i]
-        if i in barrier_at:
-            floor = makespan
-        if (
-            g.ride
-            and g.kind == "P"
-            and i + 1 < len(gates)
-            and g.target in gates[i + 1].wires()
-            and i + 1 not in barrier_at
-        ):
-            # Composite: the rider P shares the slot of the gate it decorates.
-            partner = gates[i + 1]
-            slot = max([floor] + [avail[w] for w in partner.wires()]) + 1
-            if slot > avail[g.target]:
-                for w in set(partner.wires()) | {g.target}:
-                    avail[w] = slot
-                makespan = max(makespan, slot)
-                i += 2
-                continue
-            # fall through: the rider's own wireline is the bottleneck
+            if block is not None and g.block != block:
+                floor = makespan
+            block = g.block
         slot = max([floor] + [avail[w] for w in g.wires()]) + 1
         for w in g.wires():
             avail[w] = slot
         makespan = max(makespan, slot)
-        i += 1
     return makespan
 
 

@@ -142,10 +142,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     slots = schedule_slots(circ)
     for name in names:
         circ, rep = PASSES[name](circ)
-        row = asdict(rep)
-        del row["name"]
         after = schedule_slots(circ)
-        reports.append({"pass": name, **row, "slots_before": slots, "slots_after": after})
+        reports.append({"pass": name, **asdict(rep), "slots_before": slots, "slots_after": after})
         slots = after
     if cfg.aqft_cutoff is not None:
         circ = apply_aqft(circ, cfg.aqft_cutoff)
@@ -312,10 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"qftmcu: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"qftmcu: {exc}", file=sys.stderr)
         return 2
 

@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .circuit import (
     BLOCK_MINUS,
     BLOCK_PLUS,
     Circuit,
-    crz,
     cx,
     h,
     normalize_angle,
-    p,
     x,
 )
 from .gate_algebra import u2_mat, zyz_decompose
@@ -32,15 +30,14 @@ from .gate_algebra import u2_mat, zyz_decompose
 
 @dataclass
 class PassReport:
-    name: str
     gates_before: int
     gates_after: int
     refused: bool = False
     detail: str = ""
 
 
-def _report(name: str, before: Circuit, after: Circuit, **kw) -> PassReport:
-    return PassReport(name, len(before.gates), len(after.gates), **kw)
+def _report(before: Circuit, after: Circuit, **kw) -> PassReport:
+    return PassReport(len(before.gates), len(after.gates), **kw)
 
 
 def _block_lookup(gates: list, label: str) -> defaultdict:
@@ -92,14 +89,10 @@ def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
     gates = list(circ.gates)
     if all(g.block is None for g in gates):
         after = Circuit(circ.n, gates)
-        rep = _report(
-            "merge-phase-columns",
-            circ,
-            after,
-            refused=True,
+        return after, _report(
+            circ, after, refused=True,
             detail="no block annotations present; nothing to merge against",
         )
-        return after, rep
 
     drop: set[int] = set()
     repl: dict[int, object] = {}
@@ -129,7 +122,7 @@ def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
                     drop |= {ci, toss[0]}
 
     out = Circuit(circ.n, [repl.get(i, g) for i, g in enumerate(gates) if i not in drop])
-    return out, _report("merge-phase-columns", circ, out)
+    return out, _report(circ, out)
 
 
 # -- finishing rewrites after the merge ------------------------------------------
@@ -160,7 +153,7 @@ def collapse_cx(circ: Circuit) -> tuple[Circuit, PassReport]:
         del gates[hi]
         del gates[lo]
     out = Circuit(circ.n, gates)
-    return out, _report("collapse-cx", circ, out)
+    return out, _report(circ, out)
 
 
 def cancel_x_pair(circ: Circuit) -> tuple[Circuit, PassReport]:
@@ -178,70 +171,7 @@ def cancel_x_pair(circ: Circuit) -> tuple[Circuit, PassReport]:
             del gates[hi]
             del gates[lo]
     out = Circuit(circ.n, gates)
-    return out, _report("cancel-x-pair", circ, out)
-
-
-# -- controlled-phase to controlled-Rz ------------------------------------------
-
-def _corrections_cancel(angles: list[float]) -> bool:
-    """True when the multiset of correction angles pairs off as {a, -a}."""
-    counts: Counter = Counter()
-    for a in angles:
-        key = round(normalize_angle(a) * 1e12)
-        if key == 0:
-            continue
-        counts[key] += 1
-    return all(counts[k] == counts.get(-k, 0) for k in counts)
-
-
-def cp_to_crz(circ: Circuit) -> tuple[Circuit, PassReport]:
-    """Rewrite every CP(gamma) as CRz(gamma) plus a P(gamma/2) on its control.
-
-    The two differ by exactly that local phase correction, so on an arbitrary
-    circuit each correction is emitted next to its rotation.  On a
-    block-annotated circuit two refinements apply:
-
-    * corrections landing on a control wireline pair off between the forward
-      and inverse sides of the register blocks; when the +-angle multiset for
-      a wireline cancels exactly, the whole set is dropped.
-    * rotations targeting the top wireline are not part of any restoring
-      block, so their corrections stay -- emitted as riding phases that share
-      a slot with their rotation.
-
-    No CP gates survive, and the rewrite carries no global phase.
-    """
-    annotated = any(g.block is not None for g in circ.gates)
-    per_wire: dict[int, list[float]] = defaultdict(list)
-    for g in circ.gates:
-        if g.kind == "CP" and not (annotated and g.target == circ.n):
-            per_wire[g.control].append(g.params[0] / 2)
-    droppable = {
-        w for w, angles in per_wire.items() if annotated and _corrections_cancel(angles)
-    }
-
-    out = []
-    dropped = 0
-    for g in circ.gates:
-        if g.kind != "CP":
-            out.append(g)
-            continue
-        rot = crz(g.params[0], g.control, g.target, block=g.block, role=g.role, root_m=g.root_m)
-        if annotated and g.target == circ.n:
-            out.append(
-                p(g.params[0] / 2, g.control, block=g.block, role="corr", ride=True)
-            )
-            out.append(rot)
-        elif g.control in droppable:
-            dropped += 1
-            out.append(rot)
-        else:
-            out.append(p(g.params[0] / 2, g.control, block=g.block, role="corr"))
-            out.append(rot)
-
-    res = Circuit(circ.n, out)
-    return res, _report(
-        "cp-to-crz", circ, res, detail=f"{dropped} paired corrections dropped"
-    )
+    return out, _report(circ, out)
 
 
 # -- LDD back to the QFT picture ------------------------------------------------
@@ -253,22 +183,32 @@ def ldd_to_qft(circ: Circuit) -> tuple[Circuit, PassReport]:
     CX; every other CRx becomes a controlled phase of the same angle.  The
     basis-change Hadamard pair is reinserted per block around the gates
     targeting each stage wireline.  Refuses (report flag) anything that does
-    not look like a linear-depth circuit: Hadamards present, no CRx gates, or
-    no block annotations.
+    not look like a linear-depth circuit: Hadamards present, no CRx gates, no
+    block annotations, or truncated stages.
+
+    Each CRx -> CP step drops a phase on the control wireline, and those
+    phases cancel only over complete stages, where a stage wireline takes a
+    CRx from every wireline below it in each block.  An AQFT-truncated
+    circuit lacks some, and converting it is not exact in general.
     """
+    stage_controls: defaultdict = defaultdict(set)
+    for g in circ.gates:
+        if g.kind == "CRx":
+            stage_controls[g.block, g.target].add(g.control)
     has_h = any(g.kind == "H" for g in circ.gates)
-    has_crx = any(g.kind == "CRx" for g in circ.gates)
+    has_crx = bool(stage_controls)
     annotated = any(g.block is not None for g in circ.gates)
-    if has_h or not has_crx or not annotated:
+    truncated = any(cs != set(range(1, t)) for (_, t), cs in stage_controls.items())
+    if has_h or not has_crx or not annotated or truncated:
         why = (
             "contains Hadamards" if has_h
             else "no CRx gates" if not has_crx
-            else "no block annotations"
+            else "no block annotations" if not annotated
+            else "truncated stages"
         )
         out = Circuit(circ.n, list(circ.gates))
         return out, _report(
-            "ldd-to-qft", circ, out, refused=True,
-            detail=f"not a linear-depth circuit: {why}",
+            circ, out, refused=True, detail=f"not a linear-depth circuit: {why}"
         )
 
     converted = []
@@ -306,7 +246,7 @@ def ldd_to_qft(circ: Circuit) -> tuple[Circuit, PassReport]:
         rebuilt.extend(after.get(i, ()))
 
     out = Circuit(circ.n, rebuilt)
-    return out, _report("ldd-to-qft", circ, out)
+    return out, _report(circ, out)
 
 
 # -- adjacent CX cancellation ----------------------------------------------------
@@ -379,14 +319,7 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
         scan = sorted(moved)
     out = Circuit(circ.n, [g for g, gone in zip(gates, dead) if not gone])
     removed = len(gates) - len(out.gates)
-    return out, _report(
-        "cancel-cx-pairs", circ, out, detail=f"{removed} gates removed"
-    )
+    return out, _report(circ, out, detail=f"{removed} gates removed")
 
 
-PASSES = {
-    "merge": merge_phase_columns,
-    "cp-to-crz": cp_to_crz,
-    "ldd-to-qft": ldd_to_qft,
-    "cancel-cx": cancel_cx_pairs,
-}
+PASSES = {"merge": merge_phase_columns, "ldd-to-qft": ldd_to_qft}

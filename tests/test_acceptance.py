@@ -32,7 +32,6 @@ from qftmcu.optimizer import (
     cancel_cx_pairs,
     cancel_x_pair,
     collapse_cx,
-    cp_to_crz,
     ldd_to_qft,
     merge_phase_columns,
 )
@@ -390,10 +389,6 @@ def test_ac10_pass_soundness():
         check(f"merge/n{n}", build(SynthConfig("mcx-qft", n, optimize=False)),
               merge_phase_columns)
         check(f"ldd-to-qft/n{n}", build(SynthConfig("ldd", n, u=U_GEN)), ldd_to_qft)
-    for n in range(3, 7):
-        check(f"cp-to-crz/mcx/n{n}", build(SynthConfig("mcx-qft", n)), cp_to_crz)
-        check(f"cp-to-crz/mod/n{n}", build(SynthConfig("mcu-mod", n, u=U_GEN)),
-              cp_to_crz)
     for n in range(4, 7):
         native = lower_to_ngs(build(SynthConfig("mcu-mod", n, u=U_GEN)))
         check(f"cancel-cx/n{n}", native, cancel_cx_pairs)
@@ -408,7 +403,7 @@ def test_ac10_pass_soundness():
     _verdict(
         "AC10",
         not bad,
-        "merge, cp-to-crz, ldd-to-qft, cancel-cx, collapse-cx and cancel-x-pair "
+        "merge, ldd-to-qft, cancel-cx-pairs, collapse-cx and cancel-x-pair "
         "all keep the unitary at 1e-9 and are idempotent (n <= 8)"
         if not bad else f"{bad}",
     )

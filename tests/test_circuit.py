@@ -15,7 +15,6 @@ from qftmcu.circuit import (
     h,
     inverse,
     normalize_angle,
-    p,
     rz,
     schedule_slots,
     structural_equal,
@@ -82,13 +81,6 @@ def test_block_transition_forces_barrier():
     assert schedule_slots(walled) == 2
 
 
-def test_rider_p_shares_partner_slot():
-    rider = Circuit(2, [p(0.25, 1, ride=True), cx(1, 2)])
-    plain = Circuit(2, [p(0.25, 1), cx(1, 2)])
-    assert schedule_slots(rider) == 1
-    assert schedule_slots(plain) == 2
-
-
 # -- counting ---------------------------------------------------------------------
 
 def test_count_gates_only_present_kinds():
@@ -148,7 +140,7 @@ def test_json_round_trip_preserves_gates():
 
 def test_json_schema_is_plain():
     # Scheduling annotations are deliberately not serialized.
-    doc = json.loads(to_json(Circuit(2, [cp(0.5, 1, 2, block="plus", ride=True)])))
+    doc = json.loads(to_json(Circuit(2, [cp(0.5, 1, 2, block="plus")])))
     assert set(doc) == {"n", "gates"}
     assert set(doc["gates"][0]) == {"kind", "params", "target", "control"}
 

@@ -112,7 +112,9 @@ def test_optimize_truncates_after_its_passes(tmp_path):
 
 
 def test_optimize_rejects_unknown_pass():
-    assert run("optimize", "--method", "mcx-qft", "--n", "4", "--optimize", "fuse") == 2
+    # cp-to-crz and cancel-cx are the names of deleted passes.
+    for name in ("fuse", "cp-to-crz", "cancel-cx"):
+        assert run("optimize", "--method", "mcx-qft", "--n", "4", "--optimize", name) == 2
 
 
 # -- metrics and sweep ------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Rewrite passes: merging, CP-to-CRz, phase ladders, LDD simplification,
-CX cancellation.  Every pass must keep the unitary, global phase included."""
+"""Rewrite passes: merging, phase ladders, LDD simplification, CX
+cancellation.  Every pass must keep the unitary, global phase included."""
 
 import numpy as np
 import pytest
 
 from qftmcu.circuit import (
     Circuit,
-    count_gates,
     cp,
     cx,
     from_json,
@@ -18,7 +17,6 @@ from qftmcu.circuit import (
 from qftmcu.optimizer import (
     PASSES,
     cancel_cx_pairs,
-    cp_to_crz,
     ldd_to_qft,
     merge_phase_columns,
 )
@@ -69,61 +67,6 @@ def test_merge_refuses_without_annotations():
     out, report = merge_phase_columns(stripped)
     assert report.refused
     assert out.gates == stripped.gates
-
-
-# -- cp_to_crz ---------------------------------------------------------------------
-
-def test_cp_to_crz_standalone_keeps_correction():
-    circ = Circuit(2, [cp(np.pi / 2, 1, 2)])
-    out, report = cp_to_crz(circ)
-    kinds = [(g.kind, g.target, g.control) for g in out.gates]
-    assert ("CRz", 2, 1) in kinds
-    (p_gate,) = [g for g in out.gates if g.kind == "P"]
-    assert p_gate.target == 1  # correction sits on the control wireline
-    assert p_gate.params == (np.pi / 4,)
-    assert _reconciles(circ, out)
-
-
-def test_cp_to_crz_mcx_drops_paired_corrections():
-    circ = build(SynthConfig("mcx-qft", 5))
-    out, report = cp_to_crz(circ)
-    got = count_gates(out)
-    assert got.get("CP", 0) == 0
-    assert got["CRz"] == count_gates(circ)["CP"]
-    # Survivors come only from CPs that acted on the target wireline; they
-    # ride the slot of the gate they correct.
-    survivors = [g for g in out.gates if g.kind == "P"]
-    assert survivors and all(g.ride for g in survivors)
-    assert _reconciles(circ, out)
-
-
-def test_cp_to_crz_mod_eliminates_all_corrections(u_gen):
-    circ = build(SynthConfig("mcu-mod", 5, u=u_gen))
-    out, report = cp_to_crz(circ)
-    got = count_gates(out)
-    assert got == {"CU2": 7, "H": 8, "CRz": 16, "CX": 2}
-    assert _reconciles(circ, out)
-
-
-def test_cp_to_crz_is_idempotent(u_gen):
-    out, _ = cp_to_crz(build(SynthConfig("mcu-mod", 5, u=u_gen)))
-    again, report = cp_to_crz(out)
-    assert again.gates == out.gates
-
-
-def test_cp_to_crz_ngs_rz_reduction(u_gen):
-    # The conversion can only help the native Rz total; the closed-form
-    # 2(n-1)(n-3) delta presumes unmerged lowering, so only the sign and
-    # the conversion count are pinned here.
-    from qftmcu.layout import lower_to_ngs
-
-    for n in (5, 6):
-        base = build(SynthConfig("mcu-mod", n, u=u_gen))
-        conv, _ = cp_to_crz(base)
-        assert count_gates(conv)["CRz"] == 2 * (n - 1) * (n - 3)
-        before = lower_to_ngs(base).counts()["Rz"]
-        after = lower_to_ngs(conv).counts()["Rz"]
-        assert after < before
 
 
 # -- insert_phase_ladder --------------------------------------------------------
@@ -199,6 +142,19 @@ def test_ldd_to_qft_refuses_non_ldd_shapes(u_gen):
     twice, second = ldd_to_qft(once)
     assert second.refused
     assert twice.gates == once.gates
+
+
+def test_ldd_to_qft_refuses_truncated_stages(u_gen):
+    # Converting this AQFT build would move an entry of its unitary by 0.14.
+    ldd = build(SynthConfig("ldd", 6, u=u_gen, aqft_cutoff=2))
+    out, report = ldd_to_qft(ldd)
+    assert report.refused and "truncated" in report.detail
+    assert out.gates == ldd.gates
+    # A cutoff that drops only payload roots leaves every CRx stage whole.
+    ldd = build(SynthConfig("ldd", 6, u=u_gen, aqft_cutoff=4))
+    back, report = ldd_to_qft(ldd)
+    assert not report.refused
+    assert _reconciles(ldd, back)
 
 
 # -- cancel_cx_pairs -----------------------------------------------------------
@@ -331,14 +287,11 @@ def test_cancel_cx_preserves_unitary(u_gen):
 # -- composition --------------------------------------------------------------------
 
 def test_pass_registry_names():
-    assert set(PASSES) == {"merge", "cp-to-crz", "ldd-to-qft", "cancel-cx"}
+    assert set(PASSES) == {"merge", "ldd-to-qft"}
 
 
 def test_composition_never_grows(u_gen):
     circ = build(SynthConfig("mcu-mod", 6, u=u_gen, optimize=False))
-    gates, slots = len(circ.gates), schedule_slots(circ)
-    for name in ("merge", "cp-to-crz", "cancel-cx"):
-        circ, report = PASSES[name](circ)
-        assert len(circ.gates) <= gates
-        assert schedule_slots(circ) <= slots
-        gates, slots = len(circ.gates), schedule_slots(circ)
+    merged, _ = PASSES["merge"](circ)
+    assert len(merged.gates) <= len(circ.gates)
+    assert schedule_slots(merged) <= schedule_slots(circ)

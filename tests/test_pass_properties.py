@@ -1,6 +1,6 @@
-"""Property tests for ``lower_to_ngs``, the unannotated passes and the JSON
-round trip, on the random circuits of ``test_route_properties.py`` (same
-strategy, same derandomized settings).
+"""Property tests for ``lower_to_ngs``, the rewrite passes and the JSON
+round trip, on the random circuits and annotated builds of
+``test_route_properties.py`` (same strategies, same derandomized settings).
 
 The lowering and the passes must keep the unitary exactly, global phase
 included: the lowered circuit times e^(i global_phase) is the source
@@ -9,11 +9,17 @@ unitary, not just equal to it up to phase.
 
 import numpy as np
 from hypothesis import given
-from test_route_properties import SETTINGS, unannotated_circuits
+from test_route_properties import SETTINGS, annotated_builds, unannotated_circuits
 
 from qftmcu.circuit import from_json, to_json
 from qftmcu.layout import NATIVE_KINDS, lower_to_ngs
-from qftmcu.optimizer import cancel_cx_pairs, cp_to_crz
+from qftmcu.optimizer import (
+    cancel_cx_pairs,
+    cancel_x_pair,
+    collapse_cx,
+    ldd_to_qft,
+    merge_phase_columns,
+)
 from qftmcu.verifier import circuit_unitary
 
 
@@ -29,10 +35,19 @@ def test_lowering_is_native_and_exact_with_its_phase(circ):
 @SETTINGS
 @given(unannotated_circuits())
 def test_unannotated_passes_keep_the_unitary(circ):
+    out, _ = cancel_cx_pairs(circ)
+    assert np.abs(circuit_unitary(out) - circuit_unitary(circ)).max() < 1e-10
+
+
+@SETTINGS
+@given(annotated_builds())
+def test_annotated_passes_keep_the_unitary_and_are_idempotent(circ):
     want = circuit_unitary(circ)
-    for rewrite in (cp_to_crz, cancel_cx_pairs):
+    for rewrite in (merge_phase_columns, collapse_cx, cancel_x_pair, ldd_to_qft):
         out, _ = rewrite(circ)
         assert np.abs(circuit_unitary(out) - want).max() < 1e-10, rewrite.__name__
+        again, _ = rewrite(out)
+        assert again.gates == out.gates, rewrite.__name__
 
 
 @SETTINGS

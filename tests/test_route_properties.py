@@ -4,9 +4,9 @@ Unannotated circuits take the greedy branch, annotated builds the stage
 walk.  Either way every two-qubit gate of the routed circuit acts on
 neighbouring wirelines, and the routed unitary is exactly the layout
 permutation after the original one.  The examples are derandomized, so
-every run checks the same draws.  ``unannotated_circuits`` and ``SETTINGS``
-are shared with the pass, lowering and JSON properties in
-``test_pass_properties.py``.
+every run checks the same draws.  ``unannotated_circuits``,
+``annotated_builds`` and ``SETTINGS`` are shared with the pass, lowering and
+JSON properties in ``test_pass_properties.py``.
 """
 
 import numpy as np
