@@ -2,9 +2,10 @@
 What the optimizer passes actually do
 =====================================
 
-Every pass maps circuit -> (circuit, report) and never guesses: if the
-input does not have the structure the rewrite needs, it refuses and says
-so in the report instead of producing something subtly wrong.
+Every pass maps circuit -> circuit and never guesses: if the input does
+not have the structure the rewrite needs, it raises ValueError with the
+reason instead of producing something subtly wrong.  What a pass did is
+read off its input and output.
 """
 
 from qftmcu.circuit import schedule_slots
@@ -17,13 +18,12 @@ print("registered passes:", ", ".join(sorted(PASSES)))
 
 n = 5
 raw = build(SynthConfig("mcx-qft", n, optimize=False))
-merged, report = merge_phase_columns(raw)
+merged = merge_phase_columns(raw)
 
 print(f"\nmerge on the unoptimized mcx build (n={n}):")
-print(f"  gates {report.gates_before} -> {report.gates_after},"
+print(f"  gates {len(raw.gates)} -> {len(merged.gates)},"
       f" slots {schedule_slots(raw)} -> {schedule_slots(merged)}")
-print(f"  refused: {report.refused}   detail: {report.detail or '(none)'}")
 
 # Running it again finds nothing left to do -- passes are idempotent.
-again, report2 = merge_phase_columns(merged)
+again = merge_phase_columns(merged)
 print(f"  second application changes nothing: {again.gates == merged.gates}")

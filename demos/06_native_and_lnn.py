@@ -41,11 +41,11 @@ for arch in ("fc", "lnn"):
 # layout is the identity.
 fc = synth_native(cfg, arch="fc")
 lnn = synth_native(cfg, arch="lnn")
-routed, report = route_lnn(build(cfg))
+routed = route_lnn(build(cfg))
 fused = sum(g.kind in SWAP_FUSED for g in routed.gates)
 print(f"LNN overhead at n={n}: "
       f"+{lnn.depth() - fc.depth()} depth, "
       f"+{lnn.counts()['CX'] - fc.counts()['CX']} CX "
-      f"({report.swaps_inserted} swaps: {fused} fused, 1 CX each; "
-      f"{report.swaps_inserted - fused} bare, 3 CX each)")
-print(f"final layout: {report.final_layout}")
+      f"({lnn.swaps_inserted} swaps: {fused} fused, 1 CX each; "
+      f"{lnn.swaps_inserted - fused} bare, 3 CX each)")
+print(f"final layout: {routed.final_layout}")

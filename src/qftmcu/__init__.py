@@ -31,7 +31,6 @@ from .layout import (
     ARCHES,
     NativeCircuit,
     NativeMetrics,
-    RouteReport,
     layout_permutation,
     lower_to_ngs,
     native_metrics,
@@ -41,7 +40,6 @@ from .layout import (
 from .linalg import equal_up_to_global_phase, is_unitary, kron
 from .optimizer import (
     PASSES,
-    PassReport,
     cancel_cx_pairs,
     ldd_to_qft,
     merge_phase_columns,

@@ -70,8 +70,13 @@ class Gate:
 
 @dataclass
 class Circuit:
+    """``final_layout`` is set on a routed circuit: ``final_layout[i-1]`` is
+    the physical wireline holding logical wireline i at the end, so the
+    circuit equals (layout permutation) o (the circuit it was routed from)."""
+
     n: int
     gates: list[Gate] = field(default_factory=list)
+    final_layout: tuple[int, ...] | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -204,24 +209,8 @@ def x(t: int, **kw) -> Gate:
     return Gate("X", t, **kw)
 
 
-def sx(t: int, **kw) -> Gate:
-    return Gate("SX", t, **kw)
-
-
-def sxdg(t: int, **kw) -> Gate:
-    return Gate("SXdg", t, **kw)
-
-
 def rz(angle: float, t: int, **kw) -> Gate:
     return Gate("Rz", t, params=(angle,), **kw)
-
-
-def ry(angle: float, t: int, **kw) -> Gate:
-    return Gate("Ry", t, params=(angle,), **kw)
-
-
-def rx(angle: float, t: int, **kw) -> Gate:
-    return Gate("Rx", t, params=(angle,), **kw)
 
 
 def p(angle: float, t: int, **kw) -> Gate:
@@ -238,10 +227,6 @@ def cx(c: int, t: int, **kw) -> Gate:
 
 def cp(angle: float, c: int, t: int, **kw) -> Gate:
     return Gate("CP", t, control=c, params=(angle,), **kw)
-
-
-def crz(angle: float, c: int, t: int, **kw) -> Gate:
-    return Gate("CRz", t, control=c, params=(angle,), **kw)
 
 
 def crx(angle: float, c: int, t: int, **kw) -> Gate:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -141,10 +141,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     reports = []
     slots = schedule_slots(circ)
     for name in names:
-        circ, rep = PASSES[name](circ)
-        after = schedule_slots(circ)
-        reports.append({"pass": name, **asdict(rep), "slots_before": slots, "slots_after": after})
-        slots = after
+        out = PASSES[name](circ)
+        after = schedule_slots(out)
+        reports.append({
+            "pass": name, "gates_before": len(circ.gates), "gates_after": len(out.gates),
+            "slots_before": slots, "slots_after": after,
+        })
+        circ, slots = out, after
     if cfg.aqft_cutoff is not None:
         circ = apply_aqft(circ, cfg.aqft_cutoff)
     payload = _circuit_payload(circ, args, u)

@@ -6,8 +6,8 @@ reproduces the abstract unitary to machine precision.  Routing for a linear
 nearest-neighbour architecture walks each QFT stage's target across its
 lower wirelines with neighbour SWAPs, fused with the controlled gates they
 follow, so every block returns to the identity layout; unannotated gates
-are routed greedily and the final logical-to-physical layout is reported
-instead of undone.
+are routed greedily and the final logical-to-physical layout is recorded on
+the routed circuit (``Circuit.final_layout``) instead of undone.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ ARCHES = ("fc", "lnn")
 
 # -- linear nearest-neighbour routing -------------------------------------------
 
-@dataclass
-class RouteReport:
-    swaps_inserted: int
-    # final_layout[i-1] is the physical wireline holding logical wireline i.
-    final_layout: tuple[int, ...]
-
-
 class _Line:
     """Wirelines in a row: where each logical wireline sits, and the routed
     gates emitted so far."""
@@ -47,7 +40,6 @@ class _Line:
         self.l2p = list(range(n + 1))  # index 0 unused; l2p[i] = physical home of logical i
         self.p2l = list(range(n + 1))
         self.out: list[Gate] = []
-        self.swaps = 0
 
     def emit(self, g: Gate) -> None:
         """Append a logical gate at its physical wirelines."""
@@ -66,7 +58,6 @@ class _Line:
             self.out[-1] = replace(last, kind=last.kind + "SWAP")
         else:
             self.out.append(swap(a, b))
-        self.swaps += 1
         la, lb = self.p2l[a], self.p2l[b]
         self.p2l[a], self.p2l[b] = lb, la
         self.l2p[la], self.l2p[lb] = b, a
@@ -122,7 +113,7 @@ def _walk(line: _Line, gates: list[Gate]) -> None:
             p += step
 
 
-def route_lnn(circ: Circuit) -> tuple[Circuit, RouteReport]:
+def route_lnn(circ: Circuit) -> Circuit:
     """Make every two-qubit gate act on adjacent wirelines.
 
     The QFT halves that the builders annotate (role ``qft`` and ``iqft``,
@@ -132,9 +123,10 @@ def route_lnn(circ: Circuit) -> tuple[Circuit, RouteReport]:
     the identity layout (entered, if needed, through neighbour swaps to the
     layout its mirror starts from).  Any other gate is routed greedily: its
     control steps toward its target one SWAP at a time.  The permutation is
-    carried forward rather than undone, and the report's ``final_layout``
-    says where each logical wireline ended up, so the routed circuit equals
-    (layout permutation) o (original).  The work is O(gates + swaps).
+    carried forward rather than undone: the routed circuit's
+    ``final_layout`` says where each logical wireline ended up, so it equals
+    (layout permutation) o (original).  Each inserted swap is one SWAP or
+    fused gate.  The work is O(gates + swaps).
     """
     n = circ.n
     line = _Line(n)
@@ -162,10 +154,9 @@ def route_lnn(circ: Circuit) -> tuple[Circuit, RouteReport]:
                 replace(f, target=f.control, control=f.target) if f.kind in SWAP_FUSED else f
                 for f in reversed(mirror.out)
             ]
-            line.swaps += mirror.swaps
             line.l2p, line.p2l = list(range(n + 1)), list(range(n + 1))
         i = j
-    return Circuit(n, line.out), RouteReport(line.swaps, tuple(line.l2p[1:]))
+    return Circuit(n, line.out, final_layout=tuple(line.l2p[1:]))
 
 
 def layout_permutation(layout: tuple[int, ...]) -> np.ndarray:
@@ -206,7 +197,6 @@ class NativeCircuit(Circuit):
     arch: str = "fc"
     abstract_slots: int | None = None
     swaps_inserted: int = 0
-    final_layout: tuple[int, ...] | None = None
 
     def counts(self) -> dict[str, int]:
         out = {k: 0 for k in NATIVE_KINDS}
@@ -430,7 +420,8 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     full turns folded into the phase (Rz(2 pi) = -1).  The gates are then
     reordered by the commutation-aware scheduler.  The full turns are counted
     as an integer parity and the template phases summed with ``math.fsum``,
-    so the phase is the correctly rounded sum, whatever the width.
+    so the phase is the correctly rounded sum, whatever the width.  A routed
+    circuit's ``final_layout`` carries over.
     """
     out: list[Gate] = []
     terms: list[float] = []
@@ -452,7 +443,8 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     kept = _commute_schedule(kept, circ.n)
     kept, late_wraps = _merge_rz(kept)
     terms.append(math.pi * ((wraps + merge_wraps + late_wraps) % 2))
-    return NativeCircuit(circ.n, kept, math.fmod(math.fsum(terms), TWO_PI))
+    phase = math.fmod(math.fsum(terms), TWO_PI)
+    return NativeCircuit(circ.n, kept, phase, final_layout=circ.final_layout)
 
 
 def _merge_rz(gates: list[Gate]) -> tuple[list[Gate], int]:
@@ -498,18 +490,14 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
         raise ValueError(f"unknown arch {arch!r}; expected one of {ARCHES}")
     circ = build(cfg)
     slots = schedule_slots(circ)
-    swaps = 0
-    layout = None
     if arch == "lnn":
-        circ, rep = route_lnn(circ)
-        swaps = rep.swaps_inserted
-        layout = rep.final_layout
+        circ = route_lnn(circ)
     nc = lower_to_ngs(circ)
     nc.method = cfg.method
     nc.arch = arch
     nc.abstract_slots = slots
-    nc.swaps_inserted = swaps
-    nc.final_layout = layout
+    # A build holds no SWAP, so each SWAP or fused gate is an inserted swap.
+    nc.swaps_inserted = sum(g.kind == "SWAP" or g.kind in SWAP_FUSED for g in circ.gates)
     return nc
 
 
@@ -519,7 +507,6 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
     depth = nc.depth()
     md = model_depth(nc.method, nc.n, nc.arch) if nc.method else None
     mc = model_cx(nc.method, nc.n, nc.arch) if nc.method else None
-    _, rep = cancel_cx_pairs(nc)
     return NativeMetrics(
         depth=depth,
         counts=counts,
@@ -527,7 +514,7 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
         depth_deviation=None if md is None else (depth - md) / md,
         model_cx=mc,
         cx_deviation=None if mc is None else (counts["CX"] - mc) / mc,
-        cx_cancellable=rep.gates_before - rep.gates_after,
+        cx_cancellable=len(nc.gates) - len(cancel_cx_pairs(nc).gates),
     )
 
 

@@ -1,11 +1,11 @@
 """Rewrite passes over block-annotated circuits.
 
-Each pass returns ``(circuit, PassReport)`` and never mutates its input.  The
+Each pass maps a Circuit to a new Circuit and never mutates its input.  The
 structural passes key on the ``block`` / ``role`` annotations the builders
-attach; on circuits without annotations they refuse (flagged in the report)
-rather than guess.  All rewrites here are exactly unitary-preserving, global
-phase included.  The reports carry gate counts only; a caller that wants slot
-counts schedules the circuits itself.  The module holds passes only: the
+attach; a pass that cannot rewrite a circuit soundly raises ``ValueError``
+with the reason rather than guess.  All rewrites here are exactly
+unitary-preserving, global phase included.  A caller that wants counts reads
+them off the input and output.  The module holds passes only: the
 determinant-phase ladder is construction, and lives in :mod:`qftmcu.synthesis`.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .circuit import (
     BLOCK_MINUS,
@@ -26,18 +26,6 @@ from .circuit import (
     x,
 )
 from .gate_algebra import u2_mat, zyz_decompose
-
-
-@dataclass
-class PassReport:
-    gates_before: int
-    gates_after: int
-    refused: bool = False
-    detail: str = ""
-
-
-def _report(before: Circuit, after: Circuit, **kw) -> PassReport:
-    return PassReport(len(before.gates), len(after.gates), **kw)
 
 
 def _block_lookup(gates: list, label: str) -> defaultdict:
@@ -70,7 +58,7 @@ _COLUMN_MERGE = {
 _ABSORB_SIDE = {BLOCK_PLUS: ("qft", "iqft"), BLOCK_MINUS: ("iqft", "qft")}
 
 
-def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
+def merge_phase_columns(circ: Circuit) -> Circuit:
     """Absorb each block's diagonal column into its QFT stage rotations.
 
     In a ``+1`` block the column phase on wireline j joins the stage-side
@@ -82,17 +70,12 @@ def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
     target wireline) merges into the controlled root from wireline 1 the same
     way, squaring it.
 
-    Circuits without block annotations are returned untouched with
-    ``refused=True`` -- the rules above are only meaningful relative to the
-    builder's block structure.
+    Circuits without block annotations raise ``ValueError`` -- the rules
+    above are only meaningful relative to the builder's block structure.
     """
     gates = list(circ.gates)
     if all(g.block is None for g in gates):
-        after = Circuit(circ.n, gates)
-        return after, _report(
-            circ, after, refused=True,
-            detail="no block annotations present; nothing to merge against",
-        )
+        raise ValueError("no block annotations present; nothing to merge against")
 
     drop: set[int] = set()
     repl: dict[int, object] = {}
@@ -121,13 +104,12 @@ def merge_phase_columns(circ: Circuit) -> tuple[Circuit, PassReport]:
                     )
                     drop |= {ci, toss[0]}
 
-    out = Circuit(circ.n, [repl.get(i, g) for i, g in enumerate(gates) if i not in drop])
-    return out, _report(circ, out)
+    return Circuit(circ.n, [repl.get(i, g) for i, g in enumerate(gates) if i not in drop])
 
 
 # -- finishing rewrites after the merge ------------------------------------------
 
-def collapse_cx(circ: Circuit) -> tuple[Circuit, PassReport]:
+def collapse_cx(circ: Circuit) -> Circuit:
     """Fold each block's H(2) . CP(1->2, +-pi) . H(2) sandwich into a CX.
 
     Only fires when the three gates are present exactly once in the block and
@@ -152,11 +134,10 @@ def collapse_cx(circ: Circuit) -> tuple[Circuit, PassReport]:
         gates[mid] = cx(1, 2, block=blk, role=gates[mid].role)
         del gates[hi]
         del gates[lo]
-    out = Circuit(circ.n, gates)
-    return out, _report(circ, out)
+    return Circuit(circ.n, gates)
 
 
-def cancel_x_pair(circ: Circuit) -> tuple[Circuit, PassReport]:
+def cancel_x_pair(circ: Circuit) -> Circuit:
     """Drop the two uncontrolled X(1) gates if nothing between them uses wireline 1.
 
     The +1 block ends wireline 1 with a bit flip and the -1 block starts with
@@ -170,21 +151,20 @@ def cancel_x_pair(circ: Circuit) -> tuple[Circuit, PassReport]:
         if not any(1 in g.wires() for g in gates[lo + 1 : hi]):
             del gates[hi]
             del gates[lo]
-    out = Circuit(circ.n, gates)
-    return out, _report(circ, out)
+    return Circuit(circ.n, gates)
 
 
 # -- LDD back to the QFT picture ------------------------------------------------
 
-def ldd_to_qft(circ: Circuit) -> tuple[Circuit, PassReport]:
+def ldd_to_qft(circ: Circuit) -> Circuit:
     """Invert the linear-depth rewrite: CRx back to CP/CX, Hadamards restored.
 
     Each controlled Rx of angle +-pi from wireline 1 to 2 is the collapsed
     CX; every other CRx becomes a controlled phase of the same angle.  The
     basis-change Hadamard pair is reinserted per block around the gates
-    targeting each stage wireline.  Refuses (report flag) anything that does
-    not look like a linear-depth circuit: Hadamards present, no CRx gates, no
-    block annotations, or truncated stages.
+    targeting each stage wireline.  Raises ``ValueError`` on anything that
+    does not look like a linear-depth circuit: Hadamards present, no CRx
+    gates, no block annotations, or truncated stages.
 
     Each CRx -> CP step drops a phase on the control wireline, and those
     phases cancel only over complete stages, where a stage wireline takes a
@@ -206,10 +186,7 @@ def ldd_to_qft(circ: Circuit) -> tuple[Circuit, PassReport]:
             else "no block annotations" if not annotated
             else "truncated stages"
         )
-        out = Circuit(circ.n, list(circ.gates))
-        return out, _report(
-            circ, out, refused=True, detail=f"not a linear-depth circuit: {why}"
-        )
+        raise ValueError(f"not a linear-depth circuit: {why}")
 
     converted = []
     for g in circ.gates:
@@ -244,21 +221,20 @@ def ldd_to_qft(circ: Circuit) -> tuple[Circuit, PassReport]:
         rebuilt.extend(before.get(i, ()))
         rebuilt.append(g)
         rebuilt.extend(after.get(i, ()))
-
-    out = Circuit(circ.n, rebuilt)
-    return out, _report(circ, out)
+    return Circuit(circ.n, rebuilt)
 
 
 # -- adjacent CX cancellation ----------------------------------------------------
 
-def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
+def cancel_cx_pairs(circ: Circuit) -> Circuit:
     """Delete CX pairs on identical wires with nothing in between on either wire.
 
     Deliberately conservative: the next gate touching either wire must be the
     matching CX itself, so commuting a blocker out of the way is never
     attempted.  Runs to a fixpoint (a cancellation can make a new pair
     adjacent).  Useful after nearest-neighbour routing, where ping-pong
-    SWAP chains leave many such pairs.
+    SWAP chains leave many such pairs; the routed circuit's
+    ``final_layout`` carries over.
 
     The fixpoint is that of a scan repeated until nothing changes: walk the
     gates in order and cancel each live CX with the next gate on its wires
@@ -317,9 +293,8 @@ def cancel_cx_pairs(circ: Circuit) -> tuple[Circuit, PassReport]:
                     if nxt >= 0:
                         before[nxt] = prev
         scan = sorted(moved)
-    out = Circuit(circ.n, [g for g, gone in zip(gates, dead) if not gone])
-    removed = len(gates) - len(out.gates)
-    return out, _report(circ, out, detail=f"{removed} gates removed")
+    kept = [g for g, gone in zip(gates, dead) if not gone]
+    return Circuit(circ.n, kept, final_layout=circ.final_layout)
 
 
 PASSES = {"merge": merge_phase_columns, "ldd-to-qft": ldd_to_qft}

@@ -36,7 +36,6 @@ from .circuit import (
     crx,
     h,
     inverse,
-    normalize_angle,
     p,
     u2,
 )
@@ -287,7 +286,7 @@ def build(cfg: SynthConfig) -> Circuit:
     circ = _BUILDERS[cfg.method](cfg)
     if cfg.optimize:
         for rewrite in _REWRITES[cfg.method]:
-            circ, _ = rewrite(circ)
+            circ = rewrite(circ)
     if cfg.aqft_cutoff is not None:
         circ = apply_aqft(circ, cfg.aqft_cutoff)
     return circ
@@ -315,40 +314,18 @@ def default_aqft_cutoff(n: int) -> int:
 CONTROLLED_ROTATIONS = frozenset({"CP", "CRz", "CRx", "CU2"})
 
 
-def _root_index(g) -> int | None:
-    """Root index m of a controlled rotation: the builder annotation when
-    present, else read off a single angle |gamma| = pi / 2**(m-1)."""
-    if g.kind not in CONTROLLED_ROTATIONS:
-        return None
-    if g.root_m is not None:
-        return g.root_m
-    if len(g.params) == 1:
-        a = abs(normalize_angle(g.params[0]))
-        if a < 1e-12:
-            return None
-        m = round(math.log2(math.pi / a)) + 1
-        if m >= 1 and abs(a - math.pi / 2 ** (m - 1)) < 1e-9:
-            return m
-    return None
-
-
 def apply_aqft(circ: Circuit, m_max: int) -> Circuit:
     """Drop controlled rotations whose root index exceeds ``m_max``.
 
-    Applies to CP, CRz, CRx and CU2 gates.  The root index is taken from the
-    builder annotation when present, else inferred from the rotation angle
-    |gamma| = pi / 2**(m-1) (CU2 has no such angle); gates whose index cannot
-    be determined are kept.
+    Applies to CP, CRz, CRx and CU2 gates, by their ``root_m`` annotation,
+    which every builder and pass sets; a gate without one is kept.
     """
     if not 1 <= m_max <= circ.n:
         raise ValueError(f"m_max must lie in [1, {circ.n}]")
-    kept = []
-    for g in circ.gates:
-        m = _root_index(g)
-        if m is not None and m > m_max:
-            continue
-        kept.append(g)
-    return Circuit(circ.n, kept)
+    return Circuit(circ.n, [
+        g for g in circ.gates
+        if not (g.kind in CONTROLLED_ROTATIONS and g.root_m is not None and g.root_m > m_max)
+    ])
 
 
 # -- closed-form size expectations ---------------------------------------------

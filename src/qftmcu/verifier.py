@@ -15,8 +15,9 @@ Verification is two-tier with one comparison: the unitary tier pushes the
 identity's columns through, the statevector tier (wide circuits) stacks of
 seeded probe states, and each output stack is compared with the oracle's
 action, the phase read once, from the first column's overlap with the
-oracle's.  A NativeCircuit is checked as it ships: global phase folded in,
-final layout undone as an axis permutation.
+oracle's.  A circuit is checked as it ships: a routed circuit's final
+layout undone as an axis permutation, a NativeCircuit's global phase folded
+in.
 """
 
 from __future__ import annotations
@@ -168,20 +169,19 @@ def _outputs(circ: Circuit, u: np.ndarray):
 def verify_mcu(circ: Circuit, u: np.ndarray, tol: float = 1e-9) -> VerifyResult:
     """Check a circuit against the (n-1)-controlled-u oracle.
 
-    ``circ`` is a Circuit, or a NativeCircuit as synth_native or lower_to_ngs
-    returns it, checked as it ships: times e^(i global_phase), with its
-    final_layout undone.  Tier 1 (n <= 12) compares the full unitary, tier 2
-    twelve seeded probe states.  The reported phase satisfies
+    ``circ`` is checked as it ships: with its ``final_layout`` undone (a
+    circuit route_lnn returns, or one lowered from it), and a NativeCircuit
+    as synth_native or lower_to_ngs returns it times e^(i global_phase).
+    Tier 1 (n <= 12) compares the full unitary, tier 2 twelve seeded probe
+    states.  The reported phase satisfies
     ``circuit = e^(i global_phase) * oracle``, so an exactly tracked native
     phase reads 0.
     """
-    phase, layout = 0.0, None
-    if isinstance(circ, NativeCircuit):
-        phase, layout = circ.global_phase, circ.final_layout
+    phase = circ.global_phase if isinstance(circ, NativeCircuit) else 0.0
     n = circ.n
     # Output rows run over physical wirelines: logical wireline i sits on
     # physical layout[i-1], and qubit q on axis n-q of the row index.
-    layout = layout or range(1, n + 1)
+    layout = circ.final_layout or range(1, n + 1)
     axes = [n - layout[n - 1 - a] for a in range(n)] + [n]
     rel = None
     max_dev = 0.0

@@ -95,10 +95,10 @@ def test_optimize_reports_merge_delta(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    (report,) = [r for r in doc["passes"] if r["pass"] == "merge"]
-    assert report["slots_before"] == 34
-    assert report["slots_after"] == 26
-    assert report["refused"] is False
+    assert doc["passes"] == [{
+        "pass": "merge", "gates_before": 59, "gates_after": 41,
+        "slots_before": 34, "slots_after": 26,
+    }]
 
 
 def test_optimize_truncates_after_its_passes(tmp_path):
@@ -115,6 +115,14 @@ def test_optimize_rejects_unknown_pass():
     # cp-to-crz and cancel-cx are the names of deleted passes.
     for name in ("fuse", "cp-to-crz", "cancel-cx"):
         assert run("optimize", "--method", "mcx-qft", "--n", "4", "--optimize", name) == 2
+
+
+def test_optimize_exits_two_when_a_pass_refuses(capsys):
+    argv = ("optimize", "--method", "mcx-qft", "--n", "5", "--optimize", "ldd-to-qft")
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qftmcu: not a linear-depth circuit: contains Hadamards\n"
 
 
 # -- metrics and sweep ------------------------------------------------------------
@@ -135,6 +143,39 @@ def test_metrics_csv_schema(tmp_path):
     assert float(row["deviation"]) == pytest.approx(
         (int(row["native_depth"]) - 114) / 114, abs=1e-4
     )
+
+
+def test_metrics_json_is_one_row_object(capsys):
+    flags = ("metrics", "--method", "mcu-mod", "--n", "5", "--u", "X", "--arch", "lnn")
+    assert run(*flags, "--format", "json") == 0
+    row = json.loads(capsys.readouterr().out)
+    assert list(row) == sorted(CSV_COLUMNS)
+    assert run(*flags) == 0
+    (want,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert {k: str(v) for k, v in row.items()} == want
+    assert row["swap_inserted"] > 0
+
+
+def test_sweep_json_rows_equal_the_csv_rows(capsys):
+    argv = ("sweep", "--n", "4..5", "--seed", "3", "--arch", "lnn")
+    assert run(*argv, "--format", "json") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert run(*argv) == 0
+    want = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [{k: str(v) for k, v in r.items()} for r in rows] == want
+    assert len(rows) == 2 * 3
+
+
+def test_sweep_fixed_payload_is_shared_by_every_width(capsys):
+    # --u fixes the payload of every row, so each row equals metrics with
+    # the same --u.
+    assert run("sweep", "--n", "4..5", "--methods", "mcu-zyz", "--u", "X") == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    for row in rows:
+        assert run("metrics", "--method", "mcu-zyz", "--n", row["n"], "--u", "X") == 0
+        (want,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert row == want
+    assert [r["n"] for r in rows] == ["4", "5"]
 
 
 def test_sweep_deterministic_and_ordered(tmp_path):

@@ -1,4 +1,4 @@
-"""Every module under src/ and tests/ uses what it imports.
+"""Every module under src/, tests/ and demos/ uses what it imports.
 
 No linter is configured, so this AST scan is the guard.  Package
 ``__init__.py`` files are exempt: their imports are the public re-exports.
@@ -32,7 +32,7 @@ def test_guard_flags_an_unused_import():
 def test_no_unused_imports():
     files = [
         p
-        for folder in ("src", "tests")
+        for folder in ("src", "tests", "demos")
         for p in sorted((ROOT / folder).rglob("*.py"))
         if p.name != "__init__.py"
     ]

@@ -18,19 +18,14 @@ from qftmcu.circuit import (
     Gate,
     cp,
     crx,
-    crz,
     cu2,
     cx,
     h,
     inverse,
     p,
-    rx,
-    ry,
     rz,
     schedule_slots,
     swap,
-    sx,
-    sxdg,
     u2,
     x,
 )
@@ -65,20 +60,24 @@ def _native_matches_source(circ, tol=1e-12):
     return nc
 
 
+def _swaps(gates):
+    """Swaps a router inserted: one per SWAP or fused gate."""
+    return sum(g.kind == "SWAP" or g.kind in SWAP_FUSED for g in gates)
+
+
 # -- routing ---------------------------------------------------------------------
 
 def test_route_passthrough_when_adjacent():
     circ = Circuit(3, [cx(1, 2), cx(3, 2), h(1)])
-    routed, report = route_lnn(circ)
-    assert report.swaps_inserted == 0
+    routed = route_lnn(circ)
     assert routed.gates == circ.gates
+    assert routed.final_layout == (1, 2, 3)
 
 
 def test_route_makes_everything_adjacent(u_gen):
     for method in ("mcu-mod", "mcu-zyz", "ldd"):
         circ = build(SynthConfig(method, 6, u=u_gen))
-        routed, _ = route_lnn(circ)
-        for g in routed.gates:
+        for g in route_lnn(circ).gates:
             if g.control is not None:
                 assert abs(g.control - g.target) == 1
 
@@ -93,7 +92,7 @@ def test_walk_passes_every_lower_wireline(dropped):
     line = layout._Line(6)
     layout._walk(line, gates)
     assert line.p2l[1:] == [6, 5, 4, 3, 1, 2]
-    assert line.swaps == 5 + 4 + 3 + 2
+    assert _swaps(line.out) == 5 + 4 + 3 + 2
     fused = [g for g in line.out if g.kind == "CPSWAP"]
     assert len(fused) == (14 if dropped is None else 10)
 
@@ -103,9 +102,9 @@ def test_route_enters_a_lone_inverse_qft_through_swaps():
     # not where its mirror starts: neighbour swaps bring the row there, and
     # the half still ends at the identity.
     circ = inverse(build_qft(5))
-    routed, report = route_lnn(circ)
-    assert report.final_layout == (1, 2, 3, 4, 5)
-    assert report.swaps_inserted == 9 + 9  # into the mirror's start layout, then the walk
+    routed = route_lnn(circ)
+    assert routed.final_layout == (1, 2, 3, 4, 5)
+    assert _swaps(routed.gates) == 9 + 9  # into the mirror's start layout, then the walk
     assert all(g.control is None or abs(g.control - g.target) == 1 for g in routed.gates)
     assert np.abs(circuit_unitary(routed) - circuit_unitary(circ)).max() < 1e-12
 
@@ -113,10 +112,10 @@ def test_route_enters_a_lone_inverse_qft_through_swaps():
 def test_route_carried_permutation_relation():
     # The routed circuit equals (final-layout permutation) o (original).
     circ = Circuit(4, [cx(1, 4)])
-    routed, report = route_lnn(circ)
-    assert report.swaps_inserted == 2
-    assert report.final_layout != (1, 2, 3, 4)
-    perm = layout_permutation(report.final_layout)
+    routed = route_lnn(circ)
+    assert _swaps(routed.gates) == 2
+    assert routed.final_layout != (1, 2, 3, 4)
+    perm = layout_permutation(routed.final_layout)
     u_routed = circuit_unitary(routed)
     u_orig = circuit_unitary(circ)
     assert np.abs(u_routed - perm @ u_orig).max() < 1e-12
@@ -126,8 +125,8 @@ def test_route_carried_permutation_relation():
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_route_preserves_logical_unitary(method, n, u_gen):
     circ = build(SynthConfig(method, n, u=u_gen))
-    routed, report = route_lnn(circ)
-    perm = layout_permutation(report.final_layout)
+    routed = route_lnn(circ)
+    perm = layout_permutation(routed.final_layout)
     u_logical = perm.T @ circuit_unitary(routed)
     ok, _, dev = equal_up_to_global_phase(u_logical, circuit_unitary(circ), 1e-10)
     assert ok, f"{method} n={n} dev={dev}"
@@ -144,8 +143,8 @@ def test_route_swap_counts_are_reported_not_forced(u_gen):
     # 26 at n=5, under the walk's 28, and 56 at n=6, over its 46.
     for n, greedy in ((5, 26), (6, 56)):
         circ = build(SynthConfig("mcu-mod", n, u=u_gen))
-        assert route_lnn(circ)[1].swaps_inserted == model_swaps("mcu-mod", n)
-        assert route_lnn(_unannotated(circ))[1].swaps_inserted == greedy
+        assert _swaps(route_lnn(circ).gates) == model_swaps("mcu-mod", n)
+        assert _swaps(route_lnn(_unannotated(circ)).gates) == greedy
 
 
 def test_layout_permutation_identity():
@@ -197,9 +196,9 @@ def test_lower_cu2_stays_within_budget(u_gen):
 @pytest.mark.parametrize(
     "gate",
     [
-        x(1), sx(1), sxdg(1), rz(0.7, 1), ry(-1.1, 1), rx(0.6, 1), p(2.2, 1),
-        u2((0.3, 0.5, 1.0, -0.7), 1),
-        cx(1, 2), cp(-0.9, 2, 1), crz(1.3, 1, 2), crx(0.8, 1, 2),
+        x(1), Gate("SX", 1), Gate("SXdg", 1), rz(0.7, 1), Gate("Ry", 1, params=(-1.1,)),
+        Gate("Rx", 1, params=(0.6,)), p(2.2, 1), u2((0.3, 0.5, 1.0, -0.7), 1),
+        cx(1, 2), cp(-0.9, 2, 1), Gate("CRz", 2, control=1, params=(1.3,)), crx(0.8, 1, 2),
         swap(2, 1),
     ],
     ids=lambda g: f"{g.kind}@{g.target}",
@@ -319,7 +318,7 @@ def test_scheduler_matches_reference_on_random_native_lists():
             elif kind == "Rz":
                 gates.append(rz(float(rng.uniform(-np.pi, np.pi)), t))
             else:
-                gates.append(sx(t) if kind == "SX" else x(t))
+                gates.append(Gate(str(kind), t))
         _assert_schedules_like_reference(gates, n)
 
 
@@ -375,14 +374,15 @@ def test_native_circuit_rejects_out_of_range_wireline():
 
 def test_native_circuit_goes_straight_into_circuit_functions():
     # A random circuit routed greedily, so cancel_cx_pairs has pairs to delete.
-    routed, _ = route_lnn(_random_abstract(np.random.default_rng(0), n=5))
+    routed = route_lnn(_random_abstract(np.random.default_rng(0), n=5))
     nc = lower_to_ngs(routed)
+    assert nc.final_layout == routed.final_layout
     plain = nc.as_circuit()
     assert schedule_slots(nc) == native_metrics(nc).depth == schedule_slots(plain)
-    out, rep = cancel_cx_pairs(nc)
-    want, want_rep = cancel_cx_pairs(plain)
-    assert out.gates == want.gates and rep == want_rep
-    assert rep.gates_after < rep.gates_before
+    out = cancel_cx_pairs(nc)
+    assert out.gates == cancel_cx_pairs(plain).gates
+    assert len(out.gates) < len(nc.gates)
+    assert out.final_layout == nc.final_layout
     assert np.array_equal(circuit_unitary(nc), circuit_unitary(plain))
 
 

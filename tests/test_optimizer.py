@@ -41,32 +41,28 @@ def _reconciles(before, after, tol=1e-10):
 def test_merge_mcx_slot_delta_is_eight():
     for n in range(4, 11):
         unopt = build(SynthConfig("mcx-qft", n, optimize=False))
-        merged, report = merge_phase_columns(unopt)
-        assert not report.refused
+        merged = merge_phase_columns(unopt)
         assert schedule_slots(unopt) - schedule_slots(merged) == 8
 
 
 def test_merge_preserves_unitary():
     for n in range(3, 8):
         unopt = build(SynthConfig("mcx-qft", n, optimize=False))
-        merged, report = merge_phase_columns(unopt)
+        merged = merge_phase_columns(unopt)
         assert _reconciles(unopt, merged)
 
 
 def test_merge_is_idempotent():
-    merged, _ = merge_phase_columns(build(SynthConfig("mcx-qft", 5, optimize=False)))
-    again, report = merge_phase_columns(merged)
-    assert again.gates == merged.gates
-    assert report.gates_before == report.gates_after
+    merged = merge_phase_columns(build(SynthConfig("mcx-qft", 5, optimize=False)))
+    assert merge_phase_columns(merged).gates == merged.gates
 
 
 def test_merge_refuses_without_annotations():
     # The JSON schema drops block annotations on purpose; the pass must
     # refuse rather than guess which gates belong to which register block.
     stripped = from_json(to_json(build(SynthConfig("mcx-qft", 5, optimize=False))))
-    out, report = merge_phase_columns(stripped)
-    assert report.refused
-    assert out.gates == stripped.gates
+    with pytest.raises(ValueError, match="no block annotations"):
+        merge_phase_columns(stripped)
 
 
 # -- insert_phase_ladder --------------------------------------------------------
@@ -109,8 +105,7 @@ def test_ladder_generic_deltas(delta):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_ldd_round_trip_structural(n, u_gen):
     ldd = build(SynthConfig("ldd", n, u=u_gen))
-    back, report = ldd_to_qft(ldd)
-    assert not report.refused
+    back = ldd_to_qft(ldd)
     mod = build(SynthConfig("mcu-mod", n, u=u_gen))
     assert structural_equal(back, mod)
 
@@ -118,84 +113,77 @@ def test_ldd_round_trip_structural(n, u_gen):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_ldd_to_qft_preserves_unitary(n, u_gen):
     ldd = build(SynthConfig("ldd", n, u=u_gen))
-    back, report = ldd_to_qft(ldd)
-    assert _reconciles(ldd, back)
+    assert _reconciles(ldd, ldd_to_qft(ldd))
 
 
 def test_ldd_to_qft_reduces_native_totals(u_gen):
     from qftmcu.layout import lower_to_ngs
 
     ldd = build(SynthConfig("ldd", 6, u=u_gen))
-    back, _ = ldd_to_qft(ldd)
+    back = ldd_to_qft(ldd)
     before = sum(lower_to_ngs(ldd).counts().values())
     after = sum(lower_to_ngs(back).counts().values())
     assert after < before
 
 
 def test_ldd_to_qft_refuses_non_ldd_shapes(u_gen):
-    mcx = build(SynthConfig("mcx-qft", 5))
-    out, report = ldd_to_qft(mcx)
-    assert report.refused
-    assert out.gates == mcx.gates
-    ldd = build(SynthConfig("ldd", 5, u=u_gen))
-    once, _ = ldd_to_qft(ldd)
-    twice, second = ldd_to_qft(once)
-    assert second.refused
-    assert twice.gates == once.gates
+    with pytest.raises(ValueError, match="contains Hadamards"):
+        ldd_to_qft(build(SynthConfig("mcx-qft", 5)))
+    once = ldd_to_qft(build(SynthConfig("ldd", 5, u=u_gen)))
+    with pytest.raises(ValueError, match="contains Hadamards"):
+        ldd_to_qft(once)
+    with pytest.raises(ValueError, match="no CRx gates"):
+        ldd_to_qft(Circuit(2, [rz(0.3, 1)]))
+    stripped = from_json(to_json(build(SynthConfig("ldd", 5, u=u_gen))))
+    with pytest.raises(ValueError, match="no block annotations"):
+        ldd_to_qft(stripped)
 
 
 def test_ldd_to_qft_refuses_truncated_stages(u_gen):
     # Converting this AQFT build would move an entry of its unitary by 0.14.
     ldd = build(SynthConfig("ldd", 6, u=u_gen, aqft_cutoff=2))
-    out, report = ldd_to_qft(ldd)
-    assert report.refused and "truncated" in report.detail
-    assert out.gates == ldd.gates
+    with pytest.raises(ValueError, match="truncated stages"):
+        ldd_to_qft(ldd)
     # A cutoff that drops only payload roots leaves every CRx stage whole.
     ldd = build(SynthConfig("ldd", 6, u=u_gen, aqft_cutoff=4))
-    back, report = ldd_to_qft(ldd)
-    assert not report.refused
-    assert _reconciles(ldd, back)
+    assert _reconciles(ldd, ldd_to_qft(ldd))
 
 
 # -- cancel_cx_pairs -----------------------------------------------------------
 
 def test_cancel_cx_adjacent_pair():
-    out, report = cancel_cx_pairs(Circuit(2, [cx(1, 2), cx(1, 2)]))
-    assert out.gates == []
-    assert report.gates_after == 0
+    assert cancel_cx_pairs(Circuit(2, [cx(1, 2), cx(1, 2)])).gates == []
 
 
 def test_cancel_cx_blocked_by_intervening_gate():
     circ = Circuit(2, [cx(1, 2), rz(0.3, 1), cx(1, 2)])
-    out, _ = cancel_cx_pairs(circ)
+    out = cancel_cx_pairs(circ)
     assert len(out.gates) == 3
 
 
 def test_cancel_cx_ignores_spectator_wirelines():
     circ = Circuit(3, [cx(1, 2), rz(0.3, 3), cx(1, 2)])
-    out, _ = cancel_cx_pairs(circ)
+    out = cancel_cx_pairs(circ)
     assert [g.kind for g in out.gates] == ["Rz"]
 
 
 def test_cancel_cx_orientation_matters():
     circ = Circuit(2, [cx(1, 2), cx(2, 1)])
-    out, _ = cancel_cx_pairs(circ)
+    out = cancel_cx_pairs(circ)
     assert len(out.gates) == 2
 
 
 def test_cancel_cx_reaches_fixpoint():
     # Nested pairs: deleting the inner pair exposes the outer one.
     circ = Circuit(3, [cx(1, 2), cx(2, 3), cx(2, 3), cx(1, 2)])
-    out, report = cancel_cx_pairs(circ)
+    out = cancel_cx_pairs(circ)
     assert out.gates == []
-    assert report.gates_before - report.gates_after == 4
-    again, _ = cancel_cx_pairs(out)
-    assert again.gates == []
+    assert cancel_cx_pairs(out).gates == []
 
 
 def test_cancel_cx_odd_run_keeps_its_last_gate():
     gates = [cx(1, 2), cx(1, 2), cx(1, 2)]
-    out, _ = cancel_cx_pairs(Circuit(2, gates))
+    out = cancel_cx_pairs(Circuit(2, gates))
     assert len(out.gates) == 1 and out.gates[0] is gates[2]
 
 
@@ -205,7 +193,7 @@ def test_cancel_cx_keeps_the_copy_the_scan_keeps():
     # Cancelling each CX against the latest live gate (a per-wire stack)
     # would pair the first CX(1,2) with the fifth gate and keep the last.
     gates = [cx(1, 2), cx(2, 3), cx(2, 3), rz(0.3, 4), cx(1, 2), cx(1, 2)]
-    out, _ = cancel_cx_pairs(Circuit(4, gates))
+    out = cancel_cx_pairs(Circuit(4, gates))
     assert [id(g) for g in out.gates] == [id(gates[0]), id(gates[3])]
 
 
@@ -240,10 +228,9 @@ def _reference_cancel(gates):
 
 
 def _assert_cancels_like_reference(circ):
-    out, report = cancel_cx_pairs(circ)
+    out = cancel_cx_pairs(circ)
     want = _reference_cancel(circ.gates)
     assert [id(g) for g in out.gates] == [id(g) for g in want]
-    assert report.gates_after == len(want)
 
 
 def test_cancel_cx_matches_reference_on_random_circuits():
@@ -280,8 +267,7 @@ def test_cancel_cx_preserves_unitary(u_gen):
     from qftmcu.layout import lower_to_ngs
 
     native = lower_to_ngs(build(SynthConfig("mcu-mod", 4, u=u_gen)))
-    out, report = cancel_cx_pairs(native)
-    assert _reconciles(native, out)
+    assert _reconciles(native, cancel_cx_pairs(native))
 
 
 # -- composition --------------------------------------------------------------------
@@ -292,6 +278,6 @@ def test_pass_registry_names():
 
 def test_composition_never_grows(u_gen):
     circ = build(SynthConfig("mcu-mod", 6, u=u_gen, optimize=False))
-    merged, _ = PASSES["merge"](circ)
+    merged = PASSES["merge"](circ)
     assert len(merged.gates) <= len(circ.gates)
     assert schedule_slots(merged) <= schedule_slots(circ)

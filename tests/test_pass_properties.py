@@ -23,6 +23,14 @@ from qftmcu.optimizer import (
 from qftmcu.verifier import circuit_unitary
 
 
+def _apply(rewrite, circ):
+    """The pass's output; a refusal (``ValueError``) leaves the circuit as it is."""
+    try:
+        return rewrite(circ)
+    except ValueError:
+        return circ
+
+
 @SETTINGS
 @given(unannotated_circuits())
 def test_lowering_is_native_and_exact_with_its_phase(circ):
@@ -35,7 +43,7 @@ def test_lowering_is_native_and_exact_with_its_phase(circ):
 @SETTINGS
 @given(unannotated_circuits())
 def test_unannotated_passes_keep_the_unitary(circ):
-    out, _ = cancel_cx_pairs(circ)
+    out = cancel_cx_pairs(circ)
     assert np.abs(circuit_unitary(out) - circuit_unitary(circ)).max() < 1e-10
 
 
@@ -44,10 +52,9 @@ def test_unannotated_passes_keep_the_unitary(circ):
 def test_annotated_passes_keep_the_unitary_and_are_idempotent(circ):
     want = circuit_unitary(circ)
     for rewrite in (merge_phase_columns, collapse_cx, cancel_x_pair, ldd_to_qft):
-        out, _ = rewrite(circ)
+        out = _apply(rewrite, circ)
         assert np.abs(circuit_unitary(out) - want).max() < 1e-10, rewrite.__name__
-        again, _ = rewrite(out)
-        assert again.gates == out.gates, rewrite.__name__
+        assert _apply(rewrite, out).gates == out.gates, rewrite.__name__
 
 
 @SETTINGS

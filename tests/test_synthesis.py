@@ -4,7 +4,7 @@ frozen slot/count bookkeeping they are pinned to."""
 import numpy as np
 import pytest
 
-from qftmcu.circuit import count_gates, schedule_slots
+from qftmcu.circuit import Circuit, count_gates, cp, schedule_slots
 from qftmcu.gate_algebra import u2_mat
 from qftmcu.linalg import equal_up_to_global_phase
 from qftmcu.synthesis import (
@@ -270,6 +270,13 @@ def test_default_aqft_cutoff_is_ceil_log2():
 def test_aqft_full_cutoff_is_identity_rewrite(u_gen):
     circ = build(SynthConfig("mcu-mod", 6, u=u_gen))
     assert apply_aqft(circ, 6).gates == circ.gates
+
+
+def test_aqft_keeps_an_unannotated_rotation():
+    # The cutoff reads root_m only; pi/8 is root index 4, but without the
+    # annotation the gate is kept rather than guessed at.
+    circ = Circuit(4, [cp(np.pi / 8, 1, 4), cp(np.pi / 8, 2, 4, root_m=4)])
+    assert apply_aqft(circ, 2).gates == circ.gates[:1]
 
 
 def test_aqft_cutoff_bounds(u_gen):

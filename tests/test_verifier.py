@@ -8,7 +8,7 @@ import pytest
 from qftmcu import verifier
 from qftmcu.circuit import TWO_QUBIT, Circuit, Gate, cx, h, rz
 from qftmcu.gate_algebra import gate_unitary_1q
-from qftmcu.layout import NativeCircuit, lower_to_ngs, synth_native
+from qftmcu.layout import NativeCircuit, lower_to_ngs, route_lnn, synth_native
 from qftmcu.linalg import kron
 from qftmcu.synthesis import METHODS, SynthConfig, build, build_increment
 from qftmcu.verifier import (
@@ -429,3 +429,19 @@ def test_verify_routed_circuit_on_statevector_tier(u_gen):
     res = verify_mcu(nc, u_gen)
     assert (res.ok, res.tier) == (True, "statevector")
     assert abs(res.global_phase) < 1e-9
+
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n", [5, 13])
+def test_verify_checks_a_routed_abstract_circuit(method, n, u_gen):
+    u = X if method == "mcx-qft" else u_gen
+    circ = build(SynthConfig(method, n, None if method == "mcx-qft" else u))
+    res = verify_mcu(route_lnn(circ), u)
+    assert res.ok and res.tier == ("unitary" if n <= 12 else "statevector")
+    # Two CX that cancel, from wireline 1 to n, are routed greedily and
+    # leave the line permuted: the layout is undone, not ignored.
+    permuted = route_lnn(Circuit(n, circ.gates + [cx(1, n), cx(1, n)]))
+    assert permuted.final_layout != tuple(range(1, n + 1))
+    assert verify_mcu(permuted, u).ok
+    assert not verify_mcu(replace(permuted, final_layout=None), u).ok
