@@ -132,7 +132,10 @@ def _invert_gate(g: Gate) -> Gate:
 
 def inverse(circ: Circuit) -> Circuit:
     """Reversed gate list with each gate inverted.  The qft/iqft role tags are
-    swapped so block-structure-aware passes still recognize the halves."""
+    swapped so block-structure-aware passes still recognize the halves.  A
+    routed circuit is refused: its inverse would start in its final layout."""
+    if circ.final_layout is not None:
+        raise ValueError("cannot invert a routed circuit (it has a final_layout)")
     flip = {"qft": "iqft", "iqft": "qft"}
     out = []
     for g in reversed(circ.gates):

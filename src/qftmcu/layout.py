@@ -293,7 +293,7 @@ LOWERING.update(
 
 def _cost(kind: str, native: str) -> int:
     """How many ``native`` gates (CX, SX or X) the rule for ``kind`` emits.
-    Rz is left out: zero angles are dropped and neighbours merged."""
+    Rz is left out: zero angles are dropped and Z-basis runs merged."""
     return sum(step[0] == native for step in LOWERING[kind]((1.0,) * 4))
 
 
@@ -304,12 +304,25 @@ def _fold_turns(angle: float) -> tuple[float, int]:
     return a, round((angle - a) / TWO_PI) % 2
 
 
-def _emit_rz(out: list[Gate], angle: float, t: int) -> int:
-    """Append an Rz unless it vanishes; returns its full-turn parity."""
+def _emit_rz(out: list[Gate | None], live: dict[int, int | None], angle: float, t: int) -> int:
+    """Fold an Rz on wireline t into its Z-basis run; returns its full-turn parity.
+    ``live`` maps each wireline whose run is Z-basis (Rz and CX controls) to
+    the index in ``out`` of the run's one Rz, or None.  A rotation or sum that
+    vanishes is dropped; the run's next Rz then is live."""
     a, wraps = _fold_turns(angle)
-    if abs(a) > 1e-12:
+    if abs(a) <= 1e-12:
+        return wraps
+    i = live.get(t)
+    if i is None:
+        live[t] = len(out)
         out.append(rz(a, t))
-    return wraps
+        return wraps
+    a, wrap = _fold_turns(out[i].params[0] + a)
+    if abs(a) > 1e-12:
+        out[i] = rz(a, t)
+    else:
+        out[i] = live[t] = None
+    return wraps + wrap
 
 
 def _native_basis(g: Gate, w: int) -> str:
@@ -416,14 +429,18 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     """Lower every gate to {CX, Rz, SX, X} by its rule in ``LOWERING``,
     tracking the global phase exactly.
 
-    Zero rotations are dropped and adjacent Rz on a wireline are merged, with
-    full turns folded into the phase (Rz(2 pi) = -1).  The gates are then
-    reordered by the commutation-aware scheduler.  The full turns are counted
-    as an integer parity and the template phases summed with ``math.fsum``,
-    so the phase is the correctly rounded sum, whatever the width.  A routed
-    circuit's ``final_layout`` carries over.
+    Each Rz moves back across the Rz and CX controls of its wireline's
+    Z-basis run, which commute, and adds to the run's one Rz (Nam, Ross, Su,
+    Childs & Maslov, npj Quantum Inf. 4:23, 2018); an SX, X or CX target ends
+    the run.  This is exact for every circuit.  Zero rotations are dropped and
+    full turns fold into the phase (Rz(2 pi) = -1) as an integer parity; the
+    template phases are summed with ``math.fsum``, so the phase is correctly
+    rounded.  The commutation-aware scheduler then reorders the gates; it
+    never moves an Rz across an X-basis gate, so no Rz neighbours remain to
+    merge.  A routed circuit's ``final_layout`` carries over.
     """
-    out: list[Gate] = []
+    out: list[Gate | None] = []
+    live: dict[int, int | None] = {}
     terms: list[float] = []
     wraps = 0
     for g in circ.gates:
@@ -432,43 +449,21 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
         ops = (g.target, g.control)
         for kind, w, angle in LOWERING[g.kind](g.params):
             if kind == "Rz":
-                wraps += _emit_rz(out, angle, ops[w])
+                wraps += _emit_rz(out, live, angle, ops[w])
             elif kind == "phase":
                 terms.append(angle)
-            elif kind == "CX":
-                out.append(Gate("CX", ops[1 - w], control=ops[w]))
             else:
-                out.append(Gate(kind, ops[w]))
-    kept, merge_wraps = _merge_rz(out)
-    kept = _commute_schedule(kept, circ.n)
-    kept, late_wraps = _merge_rz(kept)
-    terms.append(math.pi * ((wraps + merge_wraps + late_wraps) % 2))
+                ng = Gate("CX", ops[1 - w], control=ops[w]) if kind == "CX" else Gate(kind, ops[w])
+                for q in ng.wires():
+                    if _native_basis(ng, q) == "z":
+                        live.setdefault(q, None)
+                    else:
+                        live.pop(q, None)
+                out.append(ng)
+    kept = _commute_schedule([g for g in out if g is not None], circ.n)
+    terms.append(math.pi * (wraps % 2))
     phase = math.fmod(math.fsum(terms), TWO_PI)
     return NativeCircuit(circ.n, kept, phase, final_layout=circ.final_layout)
-
-
-def _merge_rz(gates: list[Gate]) -> tuple[list[Gate], int]:
-    """Fuse runs of Rz on the same wireline; drop the ones that vanish.
-    Returns the kept gates and the number of full turns folded away."""
-    out: list[Gate] = []
-    last: dict[int, int] = {}  # wireline -> index in out of its latest gate
-    wraps = 0
-    for g in gates:
-        if g.kind == "Rz":
-            i = last.get(g.target)
-            if i is not None and out[i] is not None and out[i].kind == "Rz":
-                a, wrap = _fold_turns(out[i].params[0] + g.params[0])
-                wraps += wrap
-                if abs(a) > 1e-12:
-                    out[i] = rz(a, g.target)
-                else:
-                    out[i] = None
-                continue
-        for w in g.wires():
-            last[w] = len(out)
-        out.append(g)
-    kept = [g for g in out if g is not None]
-    return kept, wraps
 
 
 # -- end-to-end pipeline and metrics --------------------------------------------
@@ -526,9 +521,9 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 # each costs.  The built circuits (generic payload) meet them exactly on every
 # width.  ``model_depth`` is reference data: fully-connected depth for the two
 # MCU methods plus an additive line overhead, with no stated provenance; its
-# mcu-zyz slope of 32 is that of the list-scheduled depth (32n-49), which the
-# commutation-aware scheduler packs to 26n-35.  The metrics report deviations
-# against all of them.
+# mcu-zyz slope of 32 is that of list scheduling with only neighbouring Rz
+# merged (32n-49); run merging and the commutation-aware scheduler pack it to
+# 25n-32.  The metrics report deviations against all of them.
 
 def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
     if method == "mcu-mod":

@@ -318,14 +318,15 @@ def apply_aqft(circ: Circuit, m_max: int) -> Circuit:
     """Drop controlled rotations whose root index exceeds ``m_max``.
 
     Applies to CP, CRz, CRx and CU2 gates, by their ``root_m`` annotation,
-    which every builder and pass sets; a gate without one is kept.
+    which every builder and pass sets; a gate without one is kept.  A routed
+    circuit's ``final_layout`` carries over.
     """
     if not 1 <= m_max <= circ.n:
         raise ValueError(f"m_max must lie in [1, {circ.n}]")
     return Circuit(circ.n, [
         g for g in circ.gates
         if not (g.kind in CONTROLLED_ROTATIONS and g.root_m is not None and g.root_m > m_max)
-    ])
+    ], final_layout=circ.final_layout)
 
 
 # -- closed-form size expectations ---------------------------------------------

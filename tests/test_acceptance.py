@@ -195,21 +195,25 @@ def test_ac4_native_metrics_within_tolerance():
 
     ``model_cx`` follows from the pinned abstract counts and the lowering
     rules, so every CX row must match it to the gate.  ``model_depth`` is
-    reference data the commutation-aware scheduler beats (mcu-zyz by ~18%),
-    so depth is held one-sided at ``depth <= 1.10 * model_depth``.  Every
-    row is logged with its signed deviation before any assertion fires.
+    reference data the commutation-aware scheduler beats (mcu-zyz by ~21%),
+    so depth is held one-sided at ``depth <= 1.10 * model_depth``.  The
+    wide depth rows (n = 24, 32, 40) watch mcu-mod, whose slope exceeds the
+    model's.  Every row is logged with its signed deviation before any
+    assertion fires.
     """
     out_of_band = []
+    rows = 0
     print("AC4 rows (FC native; cx exact, depth <= model +10%):")
     for method in ("mcu-mod", "mcu-zyz"):
-        for n in range(5, 15):
+        for n in (*range(5, 15), 24, 32, 40):
             nc = synth_native(SynthConfig(method, n, u=U_GEN))
             depth, cxc = nc.depth(), nc.counts()["CX"]
             md, mc = model_depth(method, n), model_cx(method, n)
-            for name, got, want, ok in (
-                ("depth", depth, md, depth <= 1.10 * md),
-                ("cx", cxc, mc, cxc == mc),
-            ):
+            checks = [("depth", depth, md, depth <= 1.10 * md)]
+            if n < 15:
+                checks.append(("cx", cxc, mc, cxc == mc))
+            for name, got, want, ok in checks:
+                rows += 1
                 dev = (got - want) / want
                 print(
                     f"  {method:8s} n={n:2d} {name:5s} measured {got:4d} "
@@ -220,7 +224,7 @@ def test_ac4_native_metrics_within_tolerance():
     _verdict(
         "AC4",
         not out_of_band,
-        f"{len(out_of_band)} of 40 rows out of band (every row logged above; "
+        f"{len(out_of_band)} of {rows} rows out of band (every row logged above; "
         "cx must equal 2 CP + 2 CU2 + CX of the pinned counts, depth must not "
         "exceed 1.10x the depth model)",
     )

@@ -1,13 +1,15 @@
 """Frozen outputs: what the program emits, held to recorded digests.
 
 Each cell lowers one build to the native set, hashes its gate list, counts
-and depth, and keeps its global phase; two more digests cover the ``qftmcu
+and depth, and keeps its global phase and, in plain text beside them, its
+native gate count, CX count and depth; two more digests cover the ``qftmcu
 sweep`` CSV.  A refactor that claims to change no output passes only if every
 digest still matches and every phase agrees to 1e-9 (mod 2 pi).  Angles are
 rounded to 1e-9 before hashing, which keeps the digests stable under last-bit
 float differences.  The phase is compared, not hashed: it is a sum of
 thousands of terms, and a phase near a multiple of 1e-9 can land on either
-side of a rounding boundary.
+side of a rounding boundary.  The plain-text counts are not compared (the
+digest covers them); they make a regenerated fixture's diff readable.
 
 A change that moves an output on purpose regenerates the file and says which
 cells moved and why:
@@ -16,9 +18,10 @@ cells moved and why:
 
 The rewrite keeps an entry byte-for-byte when its digest is equal and its
 phase agrees to 1e-12, drops the cells that left the grid, and prints the
-names of the entries it added or changed.
+entries it added or changed, with the old and new counts of each.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -52,10 +55,13 @@ def _r(v: float) -> float:
 
 
 def _record(nc) -> list:
-    """[SHA-256 of the gate list, counts and depth; the global phase]."""
+    """[SHA-256 of the gate list, counts and depth; the global phase; the
+    native gates, CX and depth as text]."""
     gates = [(g.kind, g.target, g.control, tuple(_r(v) for v in g.params)) for g in nc.gates]
-    record = (gates, sorted(nc.counts().items()), nc.depth())
-    return [hashlib.sha256(repr(record).encode()).hexdigest(), nc.global_phase]
+    counts, depth = nc.counts(), nc.depth()
+    record = (gates, sorted(counts.items()), depth)
+    text = f"{len(nc.gates)} gates, {counts['CX']} CX, depth {depth}"
+    return [hashlib.sha256(repr(record).encode()).hexdigest(), nc.global_phase, text]
 
 
 def _cells():
@@ -81,9 +87,17 @@ def _cells():
 
 
 def _sweep_record(argv: list[str], tmp: Path) -> list:
+    """[SHA-256 of the CSV; no phase; its native gates, CX and depth summed
+    over its rows, as text]."""
     out = tmp / "sweep.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    return [hashlib.sha256(out.read_bytes()).hexdigest(), None]
+    rows = list(csv.DictReader(out.open()))
+    gates, cx, depth = (
+        sum(int(r[k]) for r in rows for k in keys)
+        for keys in (("cx", "rz", "sx", "x"), ("cx",), ("native_depth",))
+    )
+    text = f"{gates} gates, {cx} CX, depth {depth} over {len(rows)} rows"
+    return [hashlib.sha256(out.read_bytes()).hexdigest(), None, text]
 
 
 def _current(tmp: Path) -> dict[str, list]:
@@ -123,6 +137,7 @@ if __name__ == "__main__":
     print(f"wrote {len(entries)} digests to {FIXTURE}: "
           f"{len(moved)} added or changed, {len(dropped)} dropped")
     for name in sorted(moved):
-        print(f"  changed {name}")
+        was = old[name][2] if name in old else "new"
+        print(f"  changed {name}: {was} -> {digests[name][2]}")
     for name in dropped:
         print(f"  dropped {name}")

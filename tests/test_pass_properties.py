@@ -4,15 +4,18 @@ round trip, on the random circuits and annotated builds of
 
 The lowering and the passes must keep the unitary exactly, global phase
 included: the lowered circuit times e^(i global_phase) is the source
-unitary, not just equal to it up to phase.
+unitary, not just equal to it up to phase.  On the builds, AQFT-truncated
+ones included, the lowering also keeps at most one Rz in each Z-basis run of
+a wireline (its Rz and CX controls between two X-basis gates).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from test_route_properties import SETTINGS, annotated_builds, unannotated_circuits
 
 from qftmcu.circuit import from_json, to_json
-from qftmcu.layout import NATIVE_KINDS, lower_to_ngs
+from qftmcu.layout import NATIVE_KINDS, lower_to_ngs, route_lnn
 from qftmcu.optimizer import (
     cancel_cx_pairs,
     cancel_x_pair,
@@ -38,6 +41,30 @@ def test_lowering_is_native_and_exact_with_its_phase(circ):
     assert {g.kind for g in nc.gates} <= set(NATIVE_KINDS)
     got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
     assert np.abs(got - circuit_unitary(circ)).max() < 1e-10
+
+
+def _rz_per_z_run(gates, w):
+    """How many Rz each Z-basis run of wireline w holds."""
+    runs = [0]
+    for g in gates:
+        if g.kind == "Rz" and g.target == w:
+            runs[-1] += 1
+        elif g.target == w:
+            runs.append(0)
+    return runs
+
+
+@pytest.mark.parametrize("routed", [False, True], ids=["fc", "lnn"])
+@SETTINGS
+@given(circ=annotated_builds())
+def test_lowered_builds_are_exact_with_one_rz_per_z_run(routed, circ):
+    if routed:
+        circ = route_lnn(circ)
+    nc = lower_to_ngs(circ)
+    got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
+    assert np.abs(got - circuit_unitary(circ)).max() < 1e-10
+    for w in range(1, nc.n + 1):
+        assert max(_rz_per_z_run(nc.gates, w)) <= 1, w
 
 
 @SETTINGS

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from qftmcu import verifier
-from qftmcu.circuit import TWO_QUBIT, Circuit, Gate, cx, h, rz
+from qftmcu.circuit import TWO_QUBIT, Circuit, Gate, cx, h, inverse, rz
 from qftmcu.gate_algebra import gate_unitary_1q
 from qftmcu.layout import NativeCircuit, lower_to_ngs, route_lnn, synth_native
 from qftmcu.linalg import kron
-from qftmcu.synthesis import METHODS, SynthConfig, build, build_increment
+from qftmcu.synthesis import METHODS, SynthConfig, apply_aqft, build, build_increment
 from qftmcu.verifier import (
     VerifyResult,
     apply_statevector,
@@ -445,3 +445,16 @@ def test_verify_checks_a_routed_abstract_circuit(method, n, u_gen):
     assert permuted.final_layout != tuple(range(1, n + 1))
     assert verify_mcu(permuted, u).ok
     assert not verify_mcu(replace(permuted, final_layout=None), u).ok
+
+
+def test_aqft_keeps_and_inverse_refuses_a_final_layout():
+    # The CX(1,5) pair is routed greedily and leaves the line permuted.
+    circ = build(SynthConfig("mcx-qft", 5))
+    routed = route_lnn(Circuit(5, circ.gates + [cx(1, 5), cx(1, 5)]))
+    assert routed.final_layout == (4, 1, 2, 3, 5)
+    kept = apply_aqft(routed, 5)
+    assert kept.final_layout == routed.final_layout
+    assert verify_mcu(kept, X).ok
+    # Its inverse would start in that layout, not end in it.
+    with pytest.raises(ValueError, match="final_layout"):
+        inverse(routed)
