@@ -13,7 +13,6 @@ checked against.
 
 import numpy as np
 
-from qftmcu.circuit import SWAP_FUSED
 from qftmcu.gate_algebra import random_unitary
 from qftmcu.layout import route_lnn, synth_native
 from qftmcu.synthesis import SynthConfig, build
@@ -35,17 +34,21 @@ for arch in ("fc", "lnn"):
           f"({res.max_deviation:.2e}, residual phase {res.global_phase:+.1e})\n")
 
 # On the chain each QFT stage's target walks across the lower wirelines,
-# one SWAP per wireline it passes.  A SWAP right after a controlled gate on
-# the same pair is fused with it and costs one CX more, not three; the
-# others are bare SWAPs.  Every block ends where it started, so the final
-# layout is the identity.
+# one SWAP per wireline it passes.  A SWAP next to a controlled gate on the
+# same pair (after it in a QFT, before it in an inverse QFT) is lowered
+# with that gate and costs one CX more, not three; the others are bare
+# SWAPs.  Every block ends where it started, so the final layout is the
+# identity.
 fc = synth_native(cfg, arch="fc")
 lnn = synth_native(cfg, arch="lnn")
 routed = route_lnn(build(cfg))
-fused = sum(g.kind in SWAP_FUSED for g in routed.gates)
+paired = sum(
+    (a.kind == "SWAP") != (b.kind == "SWAP") and {a.target, a.control} == {b.target, b.control}
+    for a, b in zip(routed.gates, routed.gates[1:])
+)
 print(f"LNN overhead at n={n}: "
       f"+{lnn.depth() - fc.depth()} depth, "
       f"+{lnn.counts()['CX'] - fc.counts()['CX']} CX "
-      f"({lnn.swaps_inserted} swaps: {fused} fused, 1 CX each; "
-      f"{lnn.swaps_inserted - fused} bare, 3 CX each)")
+      f"({lnn.swaps_inserted} swaps: {paired} beside their controlled gate, 1 CX each; "
+      f"{lnn.swaps_inserted - paired} bare, 3 CX each)")
 print(f"final layout: {routed.final_layout}")

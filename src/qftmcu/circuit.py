@@ -19,11 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-#: each controlled kind's fused form: the gate followed by a SWAP of its pair,
-#: which a router emits as one gate when a target walks past its control
-SWAP_FUSED = {k + "SWAP": k for k in ("CX", "CP", "CRz", "CRx", "CU2")}
-
-TWO_QUBIT = frozenset({"CX", "CP", "CRz", "CRx", "CU2", "SWAP", *SWAP_FUSED})
+TWO_QUBIT = frozenset({"CX", "CP", "CRz", "CRx", "CU2", "SWAP"})
 
 GATE_KINDS = frozenset({"H", "X", "SX", "SXdg", "Rz", "Ry", "P", "Rx", "U2", *TWO_QUBIT})
 
@@ -38,8 +34,7 @@ _ANGLE_KINDS = frozenset({"Rz", "Ry", "P", "Rx", "CP", "CRz", "CRx"})
 @dataclass(frozen=True)
 class Gate:
     """One gate. ``control`` is None for single-qubit kinds; SWAP stores its
-    two operands as target+control; a fused kind (``SWAP_FUSED``) is its
-    controlled gate followed by a SWAP of the pair.  U2/CU2 carry ZYZ params
+    two operands as target+control.  U2/CU2 carry ZYZ params
     (delta, alpha, theta, beta) meaning e^{i delta} Rz(alpha) Ry(theta) Rz(beta).
 
     block/role/root_m are scheduling and rewrite annotations; they are not
@@ -113,10 +108,6 @@ def count_gates(circ: Circuit) -> dict[str, int]:
 
 
 def _invert_gate(g: Gate) -> Gate:
-    if g.kind in SWAP_FUSED:
-        # (G then SWAP)^-1 = SWAP then G^-1 = G^-1 on the exchanged pair, then SWAP
-        inv = _invert_gate(replace(g, kind=SWAP_FUSED[g.kind]))
-        return replace(inv, kind=g.kind, target=g.control, control=g.target)
     if g.kind in _ANGLE_KINDS:
         return replace(g, params=tuple(-x for x in g.params))
     if g.kind == "SX":

@@ -4,10 +4,12 @@ The native set is {CX, Rz, SX, X} (identity is never emitted).  Lowering
 tracks the global phase exactly, so a lowered circuit times e^(i phase)
 reproduces the abstract unitary to machine precision.  Routing for a linear
 nearest-neighbour architecture walks each QFT stage's target across its
-lower wirelines with neighbour SWAPs, fused with the controlled gates they
-follow, so every block returns to the identity layout; unannotated gates
-are routed greedily and the final logical-to-physical layout is recorded on
-the routed circuit (``Circuit.final_layout``) instead of undone.
+lower wirelines with neighbour SWAPs, so every block returns to the identity
+layout; unannotated gates are routed greedily and the final
+logical-to-physical layout is recorded on the routed circuit
+(``Circuit.final_layout``) instead of undone.  The routed circuit holds only
+logical gates and bare SWAPs; lowering fuses a controlled gate with a SWAP
+of its pair beside it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import SWAP_FUSED, Circuit, Gate, normalize_angle, rz, schedule_slots, swap
+from .circuit import TWO_QUBIT, Circuit, Gate, normalize_angle, rz, schedule_slots, swap
 from .gate_algebra import abc_split
 from .optimizer import cancel_cx_pairs
 from .synthesis import build, expected_counts
@@ -47,17 +49,8 @@ class _Line:
         self.out.append(replace(g, target=self.l2p[g.target], control=c))
 
     def swap(self, a: int, b: int) -> None:
-        """Exchange physical neighbours a and b.  Right after a controlled
-        gate on the same pair the two fuse into one gate (``SWAP_FUSED``)."""
-        last = self.out[-1] if self.out else None
-        if (
-            last is not None
-            and last.kind + "SWAP" in SWAP_FUSED
-            and (last.control, last.target) in ((a, b), (b, a))
-        ):
-            self.out[-1] = replace(last, kind=last.kind + "SWAP")
-        else:
-            self.out.append(swap(a, b))
+        """Exchange physical neighbours a and b."""
+        self.out.append(swap(a, b))
         la, lb = self.p2l[a], self.p2l[b]
         self.p2l[a], self.p2l[b] = lb, la
         self.l2p[la], self.l2p[lb] = b, a
@@ -86,10 +79,10 @@ def _walk(line: _Line, gates: list[Gate]) -> None:
     pair swaps, so the target passes it; once the stage's gates are done the
     target also passes the lower wirelines it has not met.  On a QFT this is
     the neighbour swap network (Fowler, Devitt & Hollenberg, QIC 4:237, 2004;
-    Maslov, PRA 76:052310, 2007), and each controlled gate and the SWAP after
-    it are one fused gate.  A stage with a single lower wireline (t = 2)
-    passes nothing: that swap would only reorder the last two wirelines,
-    which no later stage of the half needs.
+    Maslov, PRA 76:052310, 2007), in which each controlled gate and the SWAP
+    after it share a CX once lowered.  A stage with a single lower wireline
+    (t = 2) passes nothing: that swap would only reorder the last two
+    wirelines, which no later stage of the half needs.
     """
     l2p, p2l = line.l2p, line.p2l
     i = 0
@@ -125,8 +118,8 @@ def route_lnn(circ: Circuit) -> Circuit:
     control steps toward its target one SWAP at a time.  The permutation is
     carried forward rather than undone: the routed circuit's
     ``final_layout`` says where each logical wireline ended up, so it equals
-    (layout permutation) o (original).  Each inserted swap is one SWAP or
-    fused gate.  The work is O(gates + swaps).
+    (layout permutation) o (original).  Each inserted swap is one SWAP gate.
+    The work is O(gates + swaps).
     """
     n = circ.n
     line = _Line(n)
@@ -149,11 +142,7 @@ def route_lnn(circ: Circuit) -> Circuit:
             mirror = _Line(n)
             _walk(mirror, gates[i:j][::-1])
             line.arrange(mirror.p2l)
-            # Backwards, a fused gate is the SWAP first: its gate on the exchanged pair.
-            line.out += [
-                replace(f, target=f.control, control=f.target) if f.kind in SWAP_FUSED else f
-                for f in reversed(mirror.out)
-            ]
+            line.out += reversed(mirror.out)
             line.l2p, line.p2l = list(range(n + 1)), list(range(n + 1))
         i = j
     return Circuit(n, line.out, final_layout=tuple(line.l2p[1:]))
@@ -277,18 +266,14 @@ LOWERING = {
 
 
 def _then_swap(steps: tuple) -> tuple:
-    """A controlled gate's template followed by a SWAP of its pair.  The
+    """A controlled gate's template followed by a SWAP of its pair, as
+    ``lower_to_ngs`` emits the two when they are neighbours.  The
     single-qubit steps after the template's last CX cross the SWAP to the
     other operand, and that CX cancels the SWAP's first: a CP then a SWAP is
     3 CX, not 2 + 3."""
     k = max(i for i, step in enumerate(steps) if step[0] == "CX")
     tail = tuple((kind, w if w is None else 1 - w, angle) for kind, w, angle in steps[k + 1 :])
     return steps[:k] + _SWAP_STEPS[1:] + tail
-
-
-LOWERING.update(
-    {fused: (lambda q, k=kind: _then_swap(LOWERING[k](q))) for fused, kind in SWAP_FUSED.items()}
-)
 
 
 def _cost(kind: str, native: str) -> int:
@@ -429,6 +414,11 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     """Lower every gate to {CX, Rz, SX, X} by its rule in ``LOWERING``,
     tracking the global phase exactly.
 
+    A controlled gate and a SWAP of its pair next to it lower as one
+    template, ``_then_swap`` of the gate's, one CX more than the gate alone.
+    SWAP then G(c, t) is G(t, c) then SWAP; a SWAP between two gates of its
+    pair goes with the one before it.
+
     Each Rz moves back across the Rz and CX controls of its wireline's
     Z-basis run, which commute, and adds to the run's one Rz (Nam, Ross, Su,
     Childs & Maslov, npj Quantum Inf. 4:23, 2018); an SX, X or CX target ends
@@ -443,11 +433,22 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     live: dict[int, int | None] = {}
     terms: list[float] = []
     wraps = 0
-    for g in circ.gates:
-        if g.kind not in LOWERING:
-            raise ValueError(f"cannot lower gate kind {g.kind!r}")
+    gates = circ.gates
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        nxt = gates[i + 1] if i + 1 < len(gates) else g
         ops = (g.target, g.control)
-        for kind, w, angle in LOWERING[g.kind](g.params):
+        fuse = (g.kind == "SWAP") != (nxt.kind == "SWAP") and (
+            {g.target, g.control} == {nxt.target, nxt.control}
+        )
+        if fuse and g.kind == "SWAP":
+            g, ops = nxt, (nxt.control, nxt.target)
+        steps = LOWERING[g.kind](g.params)
+        if fuse:
+            steps = _then_swap(steps)
+        i += 2 if fuse else 1
+        for kind, w, angle in steps:
             if kind == "Rz":
                 wraps += _emit_rz(out, live, angle, ops[w])
             elif kind == "phase":
@@ -491,8 +492,8 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
     nc.method = cfg.method
     nc.arch = arch
     nc.abstract_slots = slots
-    # A build holds no SWAP, so each SWAP or fused gate is an inserted swap.
-    nc.swaps_inserted = sum(g.kind == "SWAP" or g.kind in SWAP_FUSED for g in circ.gates)
+    # A build holds no SWAP, so each SWAP is an inserted swap.
+    nc.swaps_inserted = sum(g.kind == "SWAP" for g in circ.gates)
     return nc
 
 
@@ -558,12 +559,14 @@ def model_swaps(method: str, n: int) -> int:
 def model_cx(method: str, n: int, arch: str = "fc") -> int:
     m = _lowered_count(method, n, "CX")
     if arch == "lnn":
-        # Every controlled gate passes its control, fused with that SWAP,
+        # Every controlled gate passes its control, and lowers with that SWAP,
         # except the two of stage 2 (one per block); the other swaps are bare.
+        # A build holds no SWAP, so its two-qubit gates are the controlled ones.
         counts = expected_counts(method, n)
-        fused = sum(c for kind, c in counts.items() if kind + "SWAP" in SWAP_FUSED) - 2
+        fused = sum(c for kind, c in counts.items() if kind in TWO_QUBIT) - 2
         bare = model_swaps(method, n) - fused
-        m += fused * (_cost("CPSWAP", "CX") - _cost("CP", "CX")) + bare * _cost("SWAP", "CX")
+        fused_cx = sum(step[0] == "CX" for step in _then_swap(LOWERING["CP"]((1.0,))))
+        m += fused * (fused_cx - _cost("CP", "CX")) + bare * _cost("SWAP", "CX")
     return m
 
 

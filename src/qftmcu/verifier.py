@@ -7,7 +7,8 @@ are all ones: indices 2^(n-1)-1 (target 0) and 2^n-1 (target 1).
 Both simulators view an array as one axis per qubit (plus trailing batch
 axes) and update it in place, gate by gate: each gate touches only the two
 target slices of its control=1 half, scaling them for a diagonal payload,
-exchanging them for X, mixing them for any other 2x2.  circuit_unitary runs
+exchanging them for X, mixing them for any other 2x2; a SWAP only relabels
+two axes.  circuit_unitary runs
 the identity's 2^n columns through at once (capped at 12 qubits);
 apply_statevector runs one statevector, or a stack of them, up to 22 qubits.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import SWAP_FUSED, Circuit
+from .circuit import Circuit
 from .gate_algebra import gate_unitary_1q
 from .layout import NativeCircuit
 
@@ -51,12 +52,11 @@ def mcu_oracle(u: np.ndarray, n: int) -> np.ndarray:
 def _apply_gate(tensor: np.ndarray, g, n: int) -> np.ndarray:
     """Apply one gate, in place, to an array whose first n axes are qubit
     axes (qubit k lives on axis n-k); any trailing axes are batch dimensions.
-    Returns the array for the next gate: SWAP (and a fused kind, after its
-    controlled gate) returns an axes-swapped view of the same buffer, so
-    later gates write through it."""
+    Returns the array for the next gate: SWAP returns an axes-swapped view of
+    the same buffer, so later gates write through it."""
     if g.kind == "SWAP":
         return np.swapaxes(tensor, n - g.control, n - g.target)
-    (m00, m01), (m10, m11) = gate_unitary_1q(SWAP_FUSED.get(g.kind, g.kind), g.params)
+    (m00, m01), (m10, m11) = gate_unitary_1q(g.kind, g.params)
     # The trailing Ellipsis keeps a fully indexed tensor a (0-d) view.
     key = [slice(None)] * n + [Ellipsis]
     if g.control is not None:
@@ -80,8 +80,6 @@ def _apply_gate(tensor: np.ndarray, g, n: int) -> np.ndarray:
         s1 += m10 * s0
         s0 *= m00
         s0 += t1
-    if g.kind in SWAP_FUSED:
-        return np.swapaxes(tensor, n - g.control, n - g.target)
     return tensor
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from qftmcu import layout
 from qftmcu.circuit import (
-    SWAP_FUSED,
+    GATE_KINDS,
+    TWO_QUBIT,
     Circuit,
     Gate,
     cp,
@@ -29,9 +30,10 @@ from qftmcu.circuit import (
     u2,
     x,
 )
-from qftmcu.gate_algebra import zyz_decompose
+from qftmcu.gate_algebra import gate_unitary_1q, zyz_decompose
 from qftmcu.layout import (
     ARCHES,
+    LOWERING,
     NATIVE_KINDS,
     NativeCircuit,
     _commute_schedule,
@@ -47,7 +49,15 @@ from qftmcu.layout import (
 )
 from qftmcu.linalg import equal_up_to_global_phase
 from qftmcu.optimizer import cancel_cx_pairs
-from qftmcu.synthesis import METHODS, SynthConfig, build, build_qft, expected_counts
+from qftmcu.synthesis import (
+    CONTROLLED_ROTATIONS,
+    METHODS,
+    SynthConfig,
+    apply_aqft,
+    build,
+    build_qft,
+    expected_counts,
+)
 from qftmcu.verifier import circuit_unitary, verify_mcu
 
 
@@ -61,8 +71,12 @@ def _native_matches_source(circ, tol=1e-12):
 
 
 def _swaps(gates):
-    """Swaps a router inserted: one per SWAP or fused gate."""
-    return sum(g.kind == "SWAP" or g.kind in SWAP_FUSED for g in gates)
+    """Swaps a router inserted: one per SWAP gate."""
+    return sum(g.kind == "SWAP" for g in gates)
+
+
+def _same_pair(a, b):
+    return {a.target, a.control} == {b.target, b.control}
 
 
 # -- routing ---------------------------------------------------------------------
@@ -84,17 +98,20 @@ def test_route_makes_everything_adjacent(u_gen):
 
 @pytest.mark.parametrize("dropped", [None, 1])
 def test_walk_passes_every_lower_wireline(dropped):
-    # Stage t's target passes all t-1 lower wirelines, fused with its CPs,
-    # and bare where a gate is missing (here every CP from wireline 1, as the
-    # merge removes some); stage 2 passes nothing.  A half on k wirelines
-    # ends in the order k, ..., 3, 1, 2 either way.
+    # Stage t's target passes all t-1 lower wirelines, right after its CPs,
+    # and with nothing before the SWAP where a gate is missing (here every CP
+    # from wireline 1, as the merge removes some); stage 2 passes nothing.  A
+    # half on k wirelines ends in the order k, ..., 3, 1, 2 either way.
     gates = [g for g in build_qft(6).gates if g.control != dropped]
     line = layout._Line(6)
     layout._walk(line, gates)
     assert line.p2l[1:] == [6, 5, 4, 3, 1, 2]
     assert _swaps(line.out) == 5 + 4 + 3 + 2
-    fused = [g for g in line.out if g.kind == "CPSWAP"]
-    assert len(fused) == (14 if dropped is None else 10)
+    pairs = [
+        a for a, b in zip(line.out, line.out[1:])
+        if a.kind == "CP" and b.kind == "SWAP" and _same_pair(a, b)
+    ]
+    assert len(pairs) == (14 if dropped is None else 10)
 
 
 def test_route_enters_a_lone_inverse_qft_through_swaps():
@@ -130,6 +147,23 @@ def test_route_preserves_logical_unitary(method, n, u_gen):
     u_logical = perm.T @ circuit_unitary(routed)
     ok, _, dev = equal_up_to_global_phase(u_logical, circuit_unitary(circ), 1e-10)
     assert ok, f"{method} n={n} dev={dev}"
+
+
+@pytest.mark.parametrize(
+    "method, n, m", [("mcx-qft", 8, 2), ("mcu-mod", 7, 3), ("mcu-zyz", 6, 2), ("ldd", 7, 3)]
+)
+def test_aqft_truncates_a_routed_circuit_as_its_source(method, n, m, u_gen):
+    # The router emits each rotation as it is, so AQFT drops the same ones
+    # after routing as before.
+    circ = build(SynthConfig(method, n, None if method == "mcx-qft" else u_gen))
+    routed, kept = apply_aqft(route_lnn(circ), m), apply_aqft(circ, m)
+    want = layout_permutation(routed.final_layout) @ circuit_unitary(kept)
+    assert np.abs(circuit_unitary(routed) - want).max() < 1e-12
+
+    def rotations(c):
+        return sum(g.kind in CONTROLLED_ROTATIONS for g in c.gates)
+
+    assert rotations(routed) == rotations(kept) < rotations(circ)
 
 
 def _unannotated(circ):
@@ -171,21 +205,47 @@ def test_lower_swap_rule():
     assert [g.kind for g in nc.gates] == ["CX", "CX", "CX"]
 
 
-@pytest.mark.parametrize("kind", sorted(SWAP_FUSED))
-def test_fused_swap_is_its_gate_then_a_swap(kind, u_gen):
-    # Exact against the explicit pair, inverted exactly, and lowered with one
-    # CX more than the gate alone instead of three.
-    base = SWAP_FUSED[kind]
-    params = {"CX": (), "CU2": zyz_decompose(u_gen)}.get(base, (0.7,))
+CONTROLLED = sorted(TWO_QUBIT - {"SWAP"})
+
+
+def _controlled(kind, c, t, u):
+    params = {"CX": (), "CU2": zyz_decompose(u)}.get(kind, (0.7,))
+    return Gate(kind, t, control=c, params=params)
+
+
+@pytest.mark.parametrize("swap_first", [False, True], ids=["gate-swap", "swap-gate"])
+@pytest.mark.parametrize("kind", CONTROLLED)
+def test_gate_beside_a_swap_of_its_pair_lowers_with_one_cx_more(kind, swap_first, u_gen):
+    # Exact, and one CX more than the gate alone instead of three, whichever
+    # operand is the control and whichever of the two comes first.
     for c, t in ((1, 2), (2, 1)):
-        fused = Circuit(2, [Gate(kind, t, control=c, params=params)])
-        alone = Circuit(2, [Gate(base, t, control=c, params=params)])
-        pair = Circuit(2, alone.gates + [swap(c, t)])
-        u = circuit_unitary(fused)
-        assert np.abs(u - circuit_unitary(pair)).max() < 1e-12
-        assert np.abs(circuit_unitary(inverse(fused)) - u.conj().T).max() < 1e-12
-        nc = _native_matches_source(fused)
-        assert nc.counts()["CX"] == lower_to_ngs(alone).counts()["CX"] + 1
+        g = _controlled(kind, c, t, u_gen)
+        pair = [swap(1, 2), g] if swap_first else [g, swap(1, 2)]
+        nc = _native_matches_source(Circuit(2, pair))
+        assert nc.counts()["CX"] == lower_to_ngs(Circuit(2, [g])).counts()["CX"] + 1
+
+
+def _cx_order(gates):
+    # On two wirelines the scheduler never exchanges CX(1, 2) and CX(2, 1),
+    # which do not commute, so the CX operand order is the emitted one.
+    return [(g.control, g.target) for g in lower_to_ngs(Circuit(2, gates)).gates if g.kind == "CX"]
+
+
+@pytest.mark.parametrize("kind", ["CX", "CP"])
+def test_swap_between_two_gates_of_its_pair_goes_with_the_first(kind, u_gen):
+    g = _controlled(kind, 1, 2, u_gen)
+    circ = [g, swap(1, 2), g]
+    _native_matches_source(Circuit(2, circ))
+    assert _cx_order(circ) == _cx_order(circ[:2]) + _cx_order(circ[2:])
+    assert _cx_order(circ) != _cx_order(circ[:1]) + _cx_order(circ[1:])
+
+
+def test_every_gate_kind_has_a_rule_and_a_matrix():
+    # The IR and the lowering table cannot drift apart, and the verifier
+    # applies every kind but SWAP through its 2x2 matrix.
+    assert set(LOWERING) == GATE_KINDS
+    for kind in GATE_KINDS - {"SWAP"}:
+        assert gate_unitary_1q(kind, (0.7,) * 4).shape == (2, 2)
 
 
 def test_lower_cu2_stays_within_budget(u_gen):
