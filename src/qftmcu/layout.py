@@ -278,7 +278,7 @@ def _then_swap(steps: tuple) -> tuple:
 
 def _cost(kind: str, native: str) -> int:
     """How many ``native`` gates (CX, SX or X) the rule for ``kind`` emits.
-    Rz is left out: zero angles are dropped and Z-basis runs merged."""
+    Rz is left out: phase folding keeps one Rz per parity and drops zero sums."""
     return sum(step[0] == native for step in LOWERING[kind]((1.0,) * 4))
 
 
@@ -289,25 +289,82 @@ def _fold_turns(angle: float) -> tuple[float, int]:
     return a, round((angle - a) / TWO_PI) % 2
 
 
-def _emit_rz(out: list[Gate | None], live: dict[int, int | None], angle: float, t: int) -> int:
-    """Fold an Rz on wireline t into its Z-basis run; returns its full-turn parity.
-    ``live`` maps each wireline whose run is Z-basis (Rz and CX controls) to
-    the index in ``out`` of the run's one Rz, or None.  A rotation or sum that
-    vanishes is dropped; the run's next Rz then is live."""
-    a, wraps = _fold_turns(angle)
-    if abs(a) <= 1e-12:
-        return wraps
-    i = live.get(t)
-    if i is None:
-        live[t] = len(out)
-        out.append(rz(a, t))
-        return wraps
-    a, wrap = _fold_turns(out[i].params[0] + a)
-    if abs(a) > 1e-12:
-        out[i] = rz(a, t)
-    else:
-        out[i] = live[t] = None
-    return wraps + wrap
+class _Parities:
+    """Phase-folding state: the parity of path variables each wireline holds.
+
+    A parity is an int whose bit 0 is a constant and whose bit i > 0 is the
+    path variable with id i.  Wireline w starts on variable w.  A CX XORs its
+    control's parity into its target's, an X flips the constant, and an SX
+    puts a fresh variable on its wireline (``fresh``).  An Rz(a) on a parity
+    with constant 1 is an Rz(-a) on the parity without it, so ``rot`` keys a
+    rotated parity by its variables (``p >> 1``) and keeps its Rz:
+    [angle sum in that frame, index in ``out`` of its latest occurrence, the
+    wireline there, the constant there].  ``place`` writes that one Rz.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.par = [0] + [1 << w for w in range(1, n + 1)]
+        self.rot: dict[int, list] = {}
+        self.free: list[int] = []
+        self.top = n + 1  # ids below top have been handed out
+        self.limit = 2 * n
+        self.wraps = 0  # full turns folded out of the sums, mod 2
+
+    def fresh(self, out: list[Gate | None]) -> int:
+        """The bit of an unused variable id.
+
+        Ids stay small, so parities stay small ints: once no id is free and
+        the ids handed out reach ``limit``, the ids no wireline holds any more
+        are freed, and the Rz of every parity that mentions one is placed,
+        since no later gate can reach that parity again.  ``limit`` is then
+        the ids still held plus at least n, so the scan over the wirelines
+        and ``rot`` runs once per n or more fresh variables.
+        """
+        if not self.free and self.top - 1 >= self.limit:
+            held = 0
+            for p in self.par:
+                held |= p
+            dead = (((1 << self.top) - 1) & ~held) >> 1  # bit v - 1 for id v
+            if dead:
+                rot = self.rot
+                for key in [k for k in rot if k & dead]:
+                    self.place(rot.pop(key), out)
+                self.free = [v for v in range(self.top - 1, 0, -1) if dead >> (v - 1) & 1]
+            live = (held >> 1).bit_count()
+            self.limit = live + max(live, self.n)
+        if self.free:
+            return 1 << self.free.pop()
+        self.top += 1
+        return 1 << (self.top - 1)
+
+    def rotate(self, w: int, angle: float, out: list[Gate | None]) -> None:
+        """Add an Rz(angle) on wireline w to its parity's Rz, which moves to
+        this occurrence: a placeholder appended to ``out``."""
+        p = self.par[w]
+        neg = p & 1
+        entry = self.rot.get(p >> 1)
+        if entry is None:
+            self.rot[p >> 1] = [-angle if neg else angle, len(out), w, neg]
+        else:
+            entry[0] += -angle if neg else angle
+            entry[1:] = len(out), w, neg
+        out.append(None)
+
+    def place_all(self, out: list[Gate | None]) -> None:
+        """Write the Rz of every parity still open, once the lowering is done."""
+        for entry in self.rot.values():
+            self.place(entry, out)
+        self.rot.clear()
+
+    def place(self, entry: list, out: list[Gate | None]) -> None:
+        """Write a parity's one Rz at its latest occurrence; a sum that
+        vanishes leaves nothing, and its full turns go to ``wraps``."""
+        angle, i, w, neg = entry
+        a, wraps = _fold_turns(angle)
+        self.wraps += wraps
+        if abs(a) > 1e-12:
+            out[i] = rz(-a if neg else a, w)
 
 
 def _native_basis(g: Gate, w: int) -> str:
@@ -419,20 +476,22 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     SWAP then G(c, t) is G(t, c) then SWAP; a SWAP between two gates of its
     pair goes with the one before it.
 
-    Each Rz moves back across the Rz and CX controls of its wireline's
-    Z-basis run, which commute, and adds to the run's one Rz (Nam, Ross, Su,
-    Childs & Maslov, npj Quantum Inf. 4:23, 2018); an SX, X or CX target ends
-    the run.  This is exact for every circuit.  Zero rotations are dropped and
-    full turns fold into the phase (Rz(2 pi) = -1) as an integer parity; the
+    Rz gates are phase-folded: each wireline holds a parity of path variables
+    (see ``_Parities``), an Rz on a parity adds its phase term to the path
+    sum's phase, and the terms on one parity add up, wherever they sit (Amy,
+    Maslov & Mosca, IEEE TCAD 33:1476, 2014; Nam, Ross, Su, Childs & Maslov,
+    npj Quantum Inf. 4:23, 2018).  So every parity keeps one Rz, the sum of
+    its angles, at its latest occurrence.  This is exact for every circuit,
+    and only Rz gates disappear.  A sum that vanishes is dropped and full
+    turns fold into the phase (Rz(2 pi) = -1) as an integer parity; the
     template phases are summed with ``math.fsum``, so the phase is correctly
-    rounded.  The commutation-aware scheduler then reorders the gates; it
-    never moves an Rz across an X-basis gate, so no Rz neighbours remain to
-    merge.  A routed circuit's ``final_layout`` carries over.
+    rounded.  The commutation-aware scheduler then reorders the gates.  A
+    routed circuit's ``final_layout`` carries over.
     """
     out: list[Gate | None] = []
-    live: dict[int, int | None] = {}
+    parities = _Parities(circ.n)
+    par = parities.par
     terms: list[float] = []
-    wraps = 0
     gates = circ.gates
     i = 0
     while i < len(gates):
@@ -450,19 +509,22 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
         i += 2 if fuse else 1
         for kind, w, angle in steps:
             if kind == "Rz":
-                wraps += _emit_rz(out, live, angle, ops[w])
+                if angle:
+                    parities.rotate(ops[w], angle, out)
             elif kind == "phase":
                 terms.append(angle)
+            elif kind == "CX":
+                c, t = ops[w], ops[1 - w]
+                par[t] ^= par[c]
+                out.append(Gate("CX", t, control=c))
             else:
-                ng = Gate("CX", ops[1 - w], control=ops[w]) if kind == "CX" else Gate(kind, ops[w])
-                for q in ng.wires():
-                    if _native_basis(ng, q) == "z":
-                        live.setdefault(q, None)
-                    else:
-                        live.pop(q, None)
-                out.append(ng)
-    kept = _commute_schedule([g for g in out if g is not None], circ.n)
-    terms.append(math.pi * (wraps % 2))
+                q = ops[w]
+                par[q] = par[q] ^ 1 if kind == "X" else parities.fresh(out)
+                out.append(Gate(kind, q))
+    parities.place_all(out)
+    out = [g for g in out if g is not None]
+    kept = _commute_schedule(out, circ.n)
+    terms.append(math.pi * (parities.wraps % 2))
     phase = math.fmod(math.fsum(terms), TWO_PI)
     return NativeCircuit(circ.n, kept, phase, final_layout=circ.final_layout)
 
@@ -523,8 +585,9 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 # width.  ``model_depth`` is reference data: fully-connected depth for the two
 # MCU methods plus an additive line overhead, with no stated provenance; its
 # mcu-zyz slope of 32 is that of list scheduling with only neighbouring Rz
-# merged (32n-49); run merging and the commutation-aware scheduler pack it to
-# 25n-32.  The metrics report deviations against all of them.
+# merged (32n-49); phase folding and the commutation-aware scheduler pack it
+# to 21n-25 for even n and 21n-24 for odd n (n = 5..40), and mcu-mod to a
+# slope of about 34.5.  The metrics report deviations against all of them.
 
 def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
     if method == "mcu-mod":
@@ -543,7 +606,7 @@ def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
 def _lowered_count(method: str, n: int, native: str) -> int:
     """Native gates of one kind in the fully-connected circuit: the pinned
     abstract counts times the per-kind cost of the lowering table.  Exact for
-    CX and SX, which neither Rz merging nor the scheduler removes."""
+    CX and SX, which neither phase folding nor the scheduler removes."""
     return sum(c * _cost(kind, native) for kind, c in expected_counts(method, n).items())
 
 

@@ -18,13 +18,16 @@ cells moved and why:
 
 The rewrite keeps an entry byte-for-byte when its digest is equal and its
 phase agrees to 1e-12, drops the cells that left the grid, and prints the
-entries it added or changed, with the old and new counts of each.
+entries it added or changed, with the old and new counts of each.  Its last
+line is a tally over the changed entries: how many moved, and in how many the
+CX count changed, the depth rose or the native gate count rose.
 """
 
 import csv
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -141,3 +144,12 @@ if __name__ == "__main__":
         print(f"  changed {name}: {was} -> {digests[name][2]}")
     for name in dropped:
         print(f"  dropped {name}")
+    # (gates, CX, depth) of each changed entry that was there before
+    pairs = [
+        [[int(v) for v in re.findall(r"\d+", rec[2])[:3]] for rec in (old[name], digests[name])]
+        for name in moved if name in old
+    ]
+    print(f"tally: {len(pairs)} moved, "
+          f"{sum(a[1] != b[1] for a, b in pairs)} CX changed, "
+          f"{sum(b[2] > a[2] for a, b in pairs)} depth rose, "
+          f"{sum(b[0] > a[0] for a, b in pairs)} gates rose")

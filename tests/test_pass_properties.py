@@ -5,8 +5,11 @@ round trip, on the random circuits and annotated builds of
 The lowering and the passes must keep the unitary exactly, global phase
 included: the lowered circuit times e^(i global_phase) is the source
 unitary, not just equal to it up to phase.  On the builds, AQFT-truncated
-ones included, the lowering also keeps at most one Rz in each Z-basis run of
-a wireline (its Rz and CX controls between two X-basis gates).
+ones included, the lowering also keeps at most one Rz on each parity of path
+variables (phase folding), and so at most one in each Z-basis run of a
+wireline (its Rz and CX controls between two X-basis gates).  A tracker local
+to these tests names the parities with ids that are never reused, so it
+checks the lowering's recycled ids independently.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given
 from test_route_properties import SETTINGS, annotated_builds, unannotated_circuits
 
-from qftmcu.circuit import from_json, to_json
+from qftmcu.circuit import Circuit, Gate, cx, from_json, rz, to_json, x
 from qftmcu.layout import NATIVE_KINDS, lower_to_ngs, route_lnn
 from qftmcu.optimizer import (
     cancel_cx_pairs,
@@ -65,6 +68,59 @@ def test_lowered_builds_are_exact_with_one_rz_per_z_run(routed, circ):
     assert np.abs(got - circuit_unitary(circ)).max() < 1e-10
     for w in range(1, nc.n + 1):
         assert max(_rz_per_z_run(nc.gates, w)) <= 1, w
+
+
+def _rz_parities(nc):
+    """The parity each Rz of a native circuit acts on, constant dropped, in
+    gate order.  Wireline w starts on variable w and every SX opens a new
+    variable; no id is ever reused."""
+    par = [1 << w for w in range(nc.n + 1)]
+    fresh = nc.n + 1
+    out = []
+    for g in nc.gates:
+        if g.kind == "CX":
+            par[g.target] ^= par[g.control]
+        elif g.kind == "X":
+            par[g.target] ^= 1
+        elif g.kind == "SX":
+            par[g.target] = 1 << fresh
+            fresh += 1
+        else:
+            out.append(par[g.target] >> 1)
+    return out
+
+
+def _one_rz_per_parity(nc):
+    keys = _rz_parities(nc)
+    return len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("routed", [False, True], ids=["fc", "lnn"])
+@SETTINGS
+@given(circ=annotated_builds())
+def test_lowered_builds_keep_one_rz_per_parity(routed, circ):
+    nc = lower_to_ngs(route_lnn(circ) if routed else circ)
+    assert _one_rz_per_parity(nc)
+
+
+def test_phase_folding_recycles_ids_exactly():
+    # Random {CX, Rz, SX, X} on 3 wirelines with over 300 SX: the lowering
+    # frees the ids of dead variables many times over, and must stay exact
+    # and still keep one Rz per parity.
+    rng = np.random.default_rng(2014)
+    gates = []
+    for _ in range(2000):
+        a, b = (int(v) for v in rng.permutation([1, 2, 3])[:2])
+        kind = rng.choice(["CX", "CX", "Rz", "Rz", "SX", "X"])
+        angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+        gates.append({"CX": cx(a, b), "Rz": rz(angle, a), "SX": Gate("SX", a), "X": x(a)}[kind])
+    assert sum(g.kind == "SX" for g in gates) >= 300
+    circ = Circuit(3, gates)
+    nc = lower_to_ngs(circ)
+    got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
+    assert np.abs(got - circuit_unitary(circ)).max() < 1e-10
+    assert _one_rz_per_parity(nc)
+    assert sum(g.kind == "Rz" for g in nc.gates) < sum(g.kind == "Rz" for g in gates)
 
 
 @SETTINGS
