@@ -13,12 +13,9 @@ from .circuit import (
     inverse,
     normalize_angle,
     schedule_slots,
-    structural_equal,
     to_json,
 )
 from .gate_algebra import (
-    controlled,
-    identity_battery,
     random_unitary,
     root,
     rx_mat,
@@ -37,7 +34,7 @@ from .layout import (
     route_lnn,
     synth_native,
 )
-from .linalg import equal_up_to_global_phase, is_unitary, kron
+from .linalg import equal_up_to_global_phase, is_unitary
 from .optimizer import (
     PASSES,
     cancel_cx_pairs,
@@ -48,14 +45,12 @@ from .synthesis import (
     METHODS,
     SynthConfig,
     apply_aqft,
-    aqft_expected_counts,
     build,
     build_decrement,
     build_increment,
     build_qft,
     default_aqft_cutoff,
     expected_counts,
-    expected_slots,
     insert_phase_ladder,
 )
 from .verifier import (

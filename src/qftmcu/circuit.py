@@ -6,7 +6,7 @@ Scheduling into abstract time slots is deterministic list-order ASAP: every
 gate takes the earliest slot at or after the availability of each wireline it
 touches, with availability updated in list order (gates are never reordered).
 
-Named blocks ("+1", "-1", "QFT") are separated by a barrier, mirroring how
+Named blocks ("+1", "-1") are separated by a barrier, mirroring how
 the synthesis blocks are drawn: the first gate of a new named block starts
 after the makespan of everything before it.  Unnamed gates (e.g. the ZYZ
 A/B/C gates) never trigger barriers and simply pack into whichever group the
@@ -19,16 +19,16 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-TWO_QUBIT = frozenset({"CX", "CP", "CRz", "CRx", "CU2", "SWAP"})
+TWO_QUBIT = frozenset({"CX", "CP", "CRx", "CU2", "SWAP"})
 
-GATE_KINDS = frozenset({"H", "X", "SX", "SXdg", "Rz", "Ry", "P", "Rx", "U2", *TWO_QUBIT})
+GATE_KINDS = frozenset({"H", "X", "SX", "Rz", "P", "U2", *TWO_QUBIT})
 
 #: block labels of the increment and decrement halves (see qftmcu.synthesis)
 BLOCK_PLUS = "+1"
 BLOCK_MINUS = "-1"
 
 #: kinds whose params list is (angle,) and whose inverse negates it
-_ANGLE_KINDS = frozenset({"Rz", "Ry", "P", "Rx", "CP", "CRz", "CRx"})
+_ANGLE_KINDS = frozenset({"Rz", "P", "CP", "CRx"})
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,7 @@ def _invert_gate(g: Gate) -> Gate:
     if g.kind in _ANGLE_KINDS:
         return replace(g, params=tuple(-x for x in g.params))
     if g.kind == "SX":
-        return replace(g, kind="SXdg")
-    if g.kind == "SXdg":
-        return replace(g, kind="SX")
+        raise ValueError("cannot invert SX: SX-dagger is not a gate kind")
     if g.kind in ("U2", "CU2"):
         d, a, t, b = g.params
         return replace(g, params=(-d, -b, -t, -a))
@@ -124,7 +122,8 @@ def _invert_gate(g: Gate) -> Gate:
 def inverse(circ: Circuit) -> Circuit:
     """Reversed gate list with each gate inverted.  The qft/iqft role tags are
     swapped so block-structure-aware passes still recognize the halves.  A
-    routed circuit is refused: its inverse would start in its final layout."""
+    routed circuit is refused: its inverse would start in its final layout.
+    So is one that holds an SX (a native circuit): SX-dagger is no gate kind."""
     if circ.final_layout is not None:
         raise ValueError("cannot invert a routed circuit (it has a final_layout)")
     flip = {"qft": "iqft", "iqft": "qft"}
@@ -175,22 +174,6 @@ def normalize_angle(x: float) -> float:
     elif y <= -math.pi:
         y += 2 * math.pi
     return y
-
-
-def structural_equal(a: Circuit, b: Circuit) -> bool:
-    """Gate-list identity: same length, kinds, operands, and params equal to
-    1e-9 after normalizing every angle into (-pi, pi]."""
-    if a.n != b.n or len(a.gates) != len(b.gates):
-        return False
-    for ga, gb in zip(a.gates, b.gates):
-        if (ga.kind, ga.target, ga.control) != (gb.kind, gb.target, gb.control):
-            return False
-        if len(ga.params) != len(gb.params):
-            return False
-        for pa, pb in zip(ga.params, gb.params):
-            if abs(normalize_angle(pa - pb)) > 1e-9:
-                return False
-    return True
 
 
 # -- gate factories ----------------------------------------------------------

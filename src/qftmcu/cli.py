@@ -9,11 +9,9 @@ byte-identical output files.  Subcommands:
   verify      build and check against the brute-force oracle (JSON verdict)
   metrics     one CSV/JSON row of native-gate statistics for a single build
   sweep       metrics rows over a range of n x method list (depth-vs-n CSV)
-  identities  run the gate-algebra identity battery
 
-Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
-verification-style check fails (verify mismatch, identity battery over
-tolerance).
+Exit status: 0 on success, 2 on a usage or configuration error, 3 when
+verify finds a mismatch.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .circuit import count_gates, schedule_slots, to_json
-from .gate_algebra import NAMED_GATES, identity_battery, random_unitary, u2_mat
+from .gate_algebra import NAMED_GATES, random_unitary, u2_mat
 from .layout import ARCHES, native_metrics, synth_native
 from .optimizer import PASSES
 from .synthesis import METHODS, SynthConfig, apply_aqft, build
@@ -239,13 +237,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_identities(args: argparse.Namespace) -> int:
-    results = identity_battery()
-    payload = [{"name": name, "max_deviation": float(dev)} for name, dev in results]
-    _emit(_dump_json(payload), args.out)
-    return 0 if all(dev <= 1e-12 for _, dev in results) else 3
-
-
 def _add_u_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", help="named target gate: X, Z, H, S, or T")
     p.add_argument("--angles", help="explicit target gate e^(id) Rz(a) Ry(t) Rz(b), as d,a,t,b")
@@ -300,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=ARCHES, default="fc")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("identities", help="run the gate-algebra identity battery")
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.set_defaults(fn=cmd_identities)
 
     return top
 

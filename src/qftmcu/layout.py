@@ -231,16 +231,13 @@ def _cu2_steps(d: float, a: float, t: float, b: float) -> tuple:
     return head + _u2_steps(*par_b) + (("CX", _C, None),) + _u2_steps(*par_a)
 
 
-def _crz_steps(g: float, control: float) -> tuple:
-    """CRz(g), with an Rz(control) on the control wireline (CP(g) is CRz(g)
-    times P(g/2) on the control; a zero angle emits nothing)."""
-    return (
-        ("Rz", _T, g / 2), ("Rz", _C, control), ("CX", _C, None), ("Rz", _T, -g / 2), ("CX", _C, None),
-    )
-
-
 def _cp_steps(g: float) -> tuple:
-    return (("phase", None, g / 4),) + _crz_steps(g, g / 2)
+    """CP(g) as CRz(g) times P(g/2) on the control, the P an Rz(g/2) and a
+    phase g/4."""
+    return (
+        ("phase", None, g / 4), ("Rz", _T, g / 2), ("Rz", _C, g / 2),
+        ("CX", _C, None), ("Rz", _T, -g / 2), ("CX", _C, None),
+    )
 
 
 _SWAP_STEPS = (("CX", _C, None), ("CX", _T, None), ("CX", _C, None))
@@ -251,14 +248,10 @@ LOWERING = {
     "P": lambda q: (("phase", None, q[0] / 2), ("Rz", _T, q[0])),
     "X": lambda q: (("X", _T, None),),
     "SX": lambda q: (("SX", _T, None),),
-    "SXdg": lambda q: (("phase", None, _PI / 2), ("Rz", _T, _PI), ("SX", _T, None), ("Rz", _T, _PI)),
     "H": lambda q: (("phase", None, _PI / 4), ("Rz", _T, _PI / 2), ("SX", _T, None), ("Rz", _T, _PI / 2)),
-    "Ry": lambda q: _u2_steps(0.0, 0.0, q[0], 0.0),
-    "Rx": lambda q: _u2_steps(0.0, -_PI / 2, q[0], _PI / 2),
     "U2": lambda q: _u2_steps(*q),
     "CX": lambda q: (("CX", _C, None),),
     "CP": lambda q: _cp_steps(q[0]),
-    "CRz": lambda q: _crz_steps(q[0], 0.0),
     "CRx": lambda q: _cu2_steps(0.0, -_PI / 2, q[0], _PI / 2),
     "CU2": lambda q: _cu2_steps(*q),
     "SWAP": lambda q: _SWAP_STEPS,

@@ -2,36 +2,14 @@
 
 Everything here works on dense complex numpy arrays.  Circuit widths stay
 small (a dozen qubits or so), so no sparse or tensor-network machinery is
-needed -- but the kron helper enforces a hard cap so a typo in a qubit count
-fails loudly instead of allocating gigabytes.
+needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Largest matrix dimension ``kron`` will produce (2**12 = 4096).
-MAX_KRON_DIM = 1 << 12
-
 _BRANCH_TOL = 1e-12
-
-
-def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given operators, left to right.
-
-    Raises ValueError if the resulting dimension would exceed MAX_KRON_DIM.
-    """
-    if not ops:
-        raise ValueError("kron of zero operators")
-    dim = 1
-    for op in ops:
-        dim *= op.shape[0]
-    if dim > MAX_KRON_DIM:
-        raise ValueError(f"kron result dimension {dim} exceeds cap {MAX_KRON_DIM}")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
 
 
 def equal_up_to_global_phase(

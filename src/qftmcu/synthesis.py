@@ -311,14 +311,14 @@ def default_aqft_cutoff(n: int) -> int:
 
 
 #: the controlled rotations an AQFT cutoff truncates
-CONTROLLED_ROTATIONS = frozenset({"CP", "CRz", "CRx", "CU2"})
+CONTROLLED_ROTATIONS = frozenset({"CP", "CRx", "CU2"})
 
 
 def apply_aqft(circ: Circuit, m_max: int) -> Circuit:
     """Drop controlled rotations whose root index exceeds ``m_max``.
 
-    Applies to CP, CRz, CRx and CU2 gates, by their ``root_m`` annotation,
-    which every builder and pass sets; a gate without one is kept.  A routed
+    Applies to CP, CRx and CU2 gates, by their ``root_m`` annotation, which
+    every builder and pass sets; a gate without one is kept.  A routed
     circuit's ``final_layout`` carries over.
     """
     if not 1 <= m_max <= circ.n:
@@ -331,23 +331,8 @@ def apply_aqft(circ: Circuit, m_max: int) -> Circuit:
 
 # -- closed-form size expectations ---------------------------------------------
 #
-# These are the frozen bookkeeping formulas the test suite pins the builders
-# against.  All hold for the optimized (merged) circuits.
-
-def expected_slots(method: str, n: int, *, optimize: bool = True) -> int | None:
-    """Parallel-slot count of the built circuit.  Valid for n >= 4 (n >= 3 for
-    mcx/zyz); returns None where no closed form is maintained."""
-    if method == "mcx-qft":
-        return 8 * n - 14 if optimize else 8 * n - 6
-    if not optimize:
-        return None
-    if method == "mcu-mod":
-        return 8 * n - 18
-    if method == "mcu-zyz":
-        # (8n - 12) for the register blocks plus one slot each for C, B, A.
-        return 8 * n - 9
-    return None
-
+# The per-kind counts of the optimized (merged) circuits, which the test suite
+# pins the builders against; the native models of qftmcu.layout derive from them.
 
 def expected_counts(method: str, n: int) -> dict[str, int]:
     """Per-kind gate counts of the optimized circuits.
@@ -371,15 +356,3 @@ def expected_counts(method: str, n: int) -> dict[str, int]:
         return {"CRx": 2 * (n - 1) * (n - 3) + 2, "CU2": 2 * n - 3, "H": 0}
     raise ValueError(f"unknown method {method!r}")
 
-
-def aqft_expected_counts(method: str, n: int, m_max: int) -> dict[str, int]:
-    """Controlled-rotation counts surviving an AQFT cutoff at root index m_max.
-
-    Valid for 2 <= m_max <= n - 2 on the optimized circuits.
-    """
-    mu = m_max
-    if method == "mcu-mod":
-        return {"CP": 2 * (mu - 1) * (2 * n - 3 - mu), "CU2": 2 * (mu - 1)}
-    if method == "mcu-zyz":
-        return {"CP": 2 * (mu - 1) * (2 * n - 1 - mu)}
-    raise ValueError(f"no AQFT count formula for method {method!r}")

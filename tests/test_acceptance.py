@@ -10,10 +10,9 @@ import time
 
 import numpy as np
 
-from qftmcu.circuit import count_gates, schedule_slots, structural_equal
+from qftmcu.circuit import count_gates, schedule_slots
 from qftmcu.gate_algebra import (
     abc_split,
-    identity_battery,
     random_unitary,
     root,
     u2_mat,
@@ -41,10 +40,10 @@ from qftmcu.synthesis import (
     build,
     default_aqft_cutoff,
     expected_counts,
-    expected_slots,
 )
 from qftmcu.verifier import circuit_unitary, mcu_oracle, verify_mcu
 from tests.conftest import generic_u
+from tests.oracles import identity_battery, structural_equal
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 U_GEN = generic_u(0)
@@ -147,8 +146,8 @@ def test_ac2_slot_formulas():
         if mod != 8 * n - 18:
             bad.append(("mcu-mod", n, mod, 8 * n - 18))
         zyz = schedule_slots(build(SynthConfig("mcu-zyz", n, u=U_GEN)))
-        if not (8 * n - 12 <= zyz <= 8 * n - 12 + 3) or zyz != expected_slots("mcu-zyz", n):
-            bad.append(("mcu-zyz", n, zyz, f"[{8*n-12}, {8*n-9}]"))
+        if zyz != 8 * n - 9:
+            bad.append(("mcu-zyz", n, zyz, 8 * n - 9))
         unopt = schedule_slots(build(SynthConfig("mcx-qft", n, optimize=False)))
         opt = schedule_slots(build(SynthConfig("mcx-qft", n)))
         if unopt - opt != 8:
@@ -156,7 +155,7 @@ def test_ac2_slot_formulas():
     _verdict(
         "AC2",
         not bad,
-        "mcu-mod slots = 8n-18, mcu-zyz slots = 8n-12 (+3 for A/B/C), "
+        "mcu-mod slots = 8n-18, mcu-zyz slots = 8n-9 (8n-12 + 3 for A/B/C), "
         "merge delta = 8, all exact for n in [4..20]" if not bad else f"{bad}",
     )
     assert not bad

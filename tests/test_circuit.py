@@ -17,19 +17,23 @@ from qftmcu.circuit import (
     normalize_angle,
     rz,
     schedule_slots,
-    structural_equal,
     to_json,
     u2,
 )
 from qftmcu.synthesis import SynthConfig, build, build_increment, build_qft
 from qftmcu.verifier import circuit_unitary
+from tests.oracles import structural_equal
 
 
 # -- gate construction guards ----------------------------------------------------
 
 def test_gate_rejects_unknown_kind():
+    # No stage emits SXdg, Ry, Rx or CRz, so the IR has no such kinds.
+    for kind in ("Hadamard", "SXdg", "Ry", "Rx"):
+        with pytest.raises(ValueError):
+            Gate(kind, 1, params=(0.3,))
     with pytest.raises(ValueError):
-        Gate("Hadamard", 1)
+        Gate("CRz", 2, control=1, params=(0.3,))
 
 
 def test_gate_rejects_control_mismatch():
@@ -100,6 +104,12 @@ def test_inverse_qft_composes_to_identity():
 def test_inverse_of_cx_is_cx():
     c = Circuit(2, [cx(1, 2)])
     assert inverse(c).gates == c.gates
+
+
+def test_inverse_refuses_sx():
+    # SX is not its own inverse, and SX-dagger is no gate kind.
+    with pytest.raises(ValueError, match="SX"):
+        inverse(Circuit(2, [cx(1, 2), Gate("SX", 1)]))
 
 
 def test_inverse_increment_is_decrement_permutation():

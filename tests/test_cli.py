@@ -207,16 +207,6 @@ def test_sweep_single_point(tmp_path):
     assert row["aqft_cutoff"] == ""
 
 
-# -- identities ---------------------------------------------------------------------
-
-def test_identities_battery(tmp_path):
-    out = tmp_path / "i.json"
-    assert run("identities", "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
-    assert len(doc) >= 7
-    assert all(entry["max_deviation"] <= 1e-12 for entry in doc)
-
-
 # -- usage errors ------------------------------------------------------------------
 
 def test_usage_errors_exit_two():

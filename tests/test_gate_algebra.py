@@ -4,9 +4,7 @@ import numpy as np
 
 from qftmcu.gate_algebra import (
     abc_split,
-    controlled,
     gate_unitary_1q,
-    identity_battery,
     p_mat,
     random_unitary,
     root,
@@ -18,6 +16,7 @@ from qftmcu.gate_algebra import (
 )
 from qftmcu.linalg import equal_up_to_global_phase, is_unitary
 from qftmcu.verifier import mcu_oracle
+from tests.oracles import controlled, identity_battery
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -51,16 +50,13 @@ def test_u2_mat_composition():
 
 def test_gate_unitary_1q_covers_kinds():
     for kind, params in [
-        ("H", ()), ("X", ()), ("SX", ()), ("SXdg", ()),
-        ("Rz", (0.4,)), ("Ry", (0.4,)), ("Rx", (0.4,)), ("P", (0.4,)),
-        ("U2", (0.1, 0.2, 0.3, 0.4)),
+        ("H", ()), ("X", ()), ("SX", ()), ("Rz", (0.4,)), ("P", (0.4,)),
+        ("CRx", (0.4,)), ("U2", (0.1, 0.2, 0.3, 0.4)),
     ]:
         m = gate_unitary_1q(kind, params)
         assert is_unitary(m)
     assert np.allclose(gate_unitary_1q("SX", ()), SX)
-    assert np.allclose(
-        gate_unitary_1q("SX", ()) @ gate_unitary_1q("SXdg", ()), I2, atol=1e-15
-    )
+    assert np.allclose(gate_unitary_1q("CRx", (0.4,)), rx_mat(0.4))
 
 
 # -- ZYZ ------------------------------------------------------------------------

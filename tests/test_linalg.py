@@ -1,4 +1,4 @@
-"""Kronecker products, phase-insensitive comparison, and 2x2 spectra."""
+"""Phase-insensitive comparison, and 2x2 spectra."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from qftmcu.linalg import (
     eig2,
     equal_up_to_global_phase,
     is_unitary,
-    kron,
     principal_phases,
 )
 
@@ -15,27 +14,6 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def test_kron_identity_and_diagonal():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-    assert np.array_equal(kron(Z, Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_matches_index_formula():
-    # (A otimes B)[i, j] = A[i//2, j//2] * B[i%2, j%2]
-    got = kron(X, H)
-    want = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            want[i, j] = X[i // 2, j // 2] * H[i % 2, j % 2]
-    assert np.abs(got - want).max() == 0
-
-
-def test_kron_variadic_matches_numpy():
-    got = kron(I2, X, Z)
-    assert got.shape == (8, 8)
-    assert np.allclose(got, np.kron(np.kron(I2, X), Z), atol=1e-15)
 
 
 def test_equal_up_to_global_phase_recovers_quarter_turn():

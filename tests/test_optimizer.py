@@ -11,7 +11,6 @@ from qftmcu.circuit import (
     from_json,
     rz,
     schedule_slots,
-    structural_equal,
     to_json,
 )
 from qftmcu.optimizer import (
@@ -28,6 +27,7 @@ from qftmcu.synthesis import (
     insert_phase_ladder,
 )
 from qftmcu.verifier import circuit_unitary
+from tests.oracles import structural_equal
 
 
 def _reconciles(before, after, tol=1e-10):

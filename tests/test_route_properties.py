@@ -26,9 +26,9 @@ ANGLES = st.one_of(
     st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2, 2 * np.pi, -2 * np.pi]),
     st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False),
 )
-ONE_QUBIT = ("H", "X", "SX", "SXdg", "Rz", "P", "Ry", "Rx", "U2")
-TWO_QUBIT = ("CX", "CP", "CRz", "CRx", "CU2", "SWAP")
-ARITY = {"U2": 4, "CU2": 4, "Rz": 1, "P": 1, "Ry": 1, "Rx": 1, "CP": 1, "CRz": 1, "CRx": 1}
+ONE_QUBIT = ("H", "X", "SX", "Rz", "P", "U2")
+TWO_QUBIT = ("CX", "CP", "CRx", "CU2", "SWAP")
+ARITY = {"U2": 4, "CU2": 4, "Rz": 1, "P": 1, "CP": 1, "CRx": 1}
 
 
 @st.composite

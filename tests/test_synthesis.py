@@ -11,16 +11,15 @@ from qftmcu.synthesis import (
     METHODS,
     SynthConfig,
     apply_aqft,
-    aqft_expected_counts,
     build,
     build_decrement,
     build_increment,
     build_qft,
     default_aqft_cutoff,
     expected_counts,
-    expected_slots,
 )
 from qftmcu.verifier import circuit_unitary, mcu_oracle
+from tests.oracles import aqft_expected_counts
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -123,8 +122,8 @@ def test_mcx_oracle_equivalence(n):
 def test_mcx_slots_and_merge_delta(n):
     unopt = schedule_slots(build(SynthConfig("mcx-qft", n, optimize=False)))
     opt = schedule_slots(build(SynthConfig("mcx-qft", n)))
-    assert unopt == expected_slots("mcx-qft", n, optimize=False) == 8 * n - 6
-    assert opt == expected_slots("mcx-qft", n) == 8 * n - 14
+    assert unopt == 8 * n - 6
+    assert opt == 8 * n - 14
     assert unopt - opt == 8
 
 
@@ -160,7 +159,7 @@ def test_mod_n5_frozen_example(u_gen):
 @pytest.mark.parametrize("n", range(4, 21))
 def test_mod_slots_formula(n, u_gen):
     circ = build(SynthConfig("mcu-mod", n, u=u_gen))
-    assert schedule_slots(circ) == expected_slots("mcu-mod", n) == 8 * n - 18
+    assert schedule_slots(circ) == 8 * n - 18
 
 
 @pytest.mark.parametrize("n", range(4, 21))
@@ -189,7 +188,6 @@ def test_mod_unoptimized_still_exact(u_gen):
         circuit_unitary(circ), mcu_oracle(u_gen, 5), 1e-9
     )
     assert ok
-    assert expected_slots("mcu-mod", 5, optimize=False) is None
 
 
 # -- mcu-zyz ----------------------------------------------------------------------
@@ -210,7 +208,7 @@ def test_zyz_n5_frozen_example(u_gen):
 @pytest.mark.parametrize("n", range(4, 21))
 def test_zyz_slots_formula(n, u_gen):
     slots = schedule_slots(build(SynthConfig("mcu-zyz", n, u=u_gen)))
-    assert slots == expected_slots("mcu-zyz", n) == 8 * n - 9
+    assert slots == 8 * n - 9
     # Register blocks take 8n-12; A, B, C add at most three more.
     assert 8 * n - 12 <= slots <= 8 * n - 12 + 3
 

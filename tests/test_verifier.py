@@ -9,7 +9,6 @@ from qftmcu import verifier
 from qftmcu.circuit import TWO_QUBIT, Circuit, Gate, cx, h, inverse, rz
 from qftmcu.gate_algebra import gate_unitary_1q
 from qftmcu.layout import NativeCircuit, lower_to_ngs, route_lnn, synth_native
-from qftmcu.linalg import kron
 from qftmcu.synthesis import METHODS, SynthConfig, apply_aqft, build, build_increment
 from qftmcu.verifier import (
     VerifyResult,
@@ -74,7 +73,7 @@ def test_unitary_empty_circuit():
 
 def test_unitary_wireline_one_is_least_significant():
     got = circuit_unitary(Circuit(2, [h(1)]))
-    assert np.abs(got - kron(I2, H)).max() < 1e-15
+    assert np.abs(got - np.kron(I2, H)).max() < 1e-15
 
 
 def test_unitary_increment_is_cyclic_permutation():
@@ -132,17 +131,17 @@ def _reference_run(circ, columns):
     return tensor.reshape(columns.shape)
 
 
-_PAYLOAD_KINDS = ("H", "X", "SX", "SXdg", "Rz", "Ry", "Rx", "P", "U2", "CX", "CP", "CRz", "CRx", "CU2")
+_PAYLOAD_KINDS = ("H", "X", "SX", "Rz", "P", "U2", "CX", "CP", "CRx", "CU2")
 
 
 def _random_gate(rng, n):
     kinds = [k for k in _PAYLOAD_KINDS + ("SWAP",) if n > 1 or k not in TWO_QUBIT]
     kind = kinds[int(rng.integers(len(kinds)))]
     wires = [int(w) for w in rng.permutation(np.arange(1, n + 1))[:2]]
-    # A zero angle makes a diagonal factor exactly 1 (P(0), CRz(0)) or a U2
+    # A zero angle makes a diagonal factor exactly 1 (P(0), CP(0)) or a U2
     # exactly diagonal (theta = 0), the kernel's shortcuts.
     angles = rng.uniform(-np.pi, np.pi, size=4) * (rng.random(size=4) > 0.2)
-    params = () if kind in ("H", "X", "SX", "SXdg", "CX", "SWAP") else tuple(angles[:1])
+    params = () if kind in ("H", "X", "SX", "CX", "SWAP") else tuple(angles[:1])
     if kind in ("U2", "CU2"):
         params = tuple(angles)
     control = wires[1] if kind in TWO_QUBIT else None
