@@ -14,6 +14,7 @@ of its pair beside it.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from collections import defaultdict, deque
@@ -208,11 +209,20 @@ class NativeCircuit(Circuit):
 # operand, angle).  Native steps name the operand they act on, _T or _C, the
 # gate's target or control (for a CX, its control; the CX targets the other
 # operand); only Rz steps carry an angle.  A ("phase", None, angle) step adds
-# to the global phase, so the template times e^(i phase) equals the gate.
+# to the global phase, so the template times e^(i phase) equals the gate.  A
+# ("frame", _T, frame) step emits nothing: it tells ``lower_to_ngs`` which
+# eigenbasis a CU2 left on its target (see ``_cu2_steps``).
 # This table is the only place that knows a gate's native cost.
 
 _T, _C = 0, 1
 _PI = math.pi
+
+# Reading a template off a 2x2 unitary, an entry below _SNAP in magnitude is
+# taken as 0 and a ZYZ angle within _SNAP of pi/2 as pi/2; rounding leaves
+# about 1e-15 where the exact value is 0 or pi/2.
+_SNAP = 1e-13
+# A frame diagonalizes a payload when the off-diagonal it leaves is below this.
+_DIAGONAL = 1e-14
 
 
 def _u2_steps(d: float, a: float, t: float, b: float) -> tuple:
@@ -223,12 +233,103 @@ def _u2_steps(d: float, a: float, t: float, b: float) -> tuple:
     )
 
 
-def _cu2_steps(d: float, a: float, t: float, b: float) -> tuple:
-    """Controlled e^(id) Rz(a) Ry(t) Rz(b) as C, CX, B, CX, A (see abc_split),
-    with the phase d as an Rz on the control."""
-    par_a, par_b, par_c = abc_split(a, t, b)
-    head = (("phase", None, d / 2), ("Rz", _T, par_c[3]), ("Rz", _C, d), ("CX", _C, None))
-    return head + _u2_steps(*par_b) + (("CX", _C, None),) + _u2_steps(*par_a)
+def _u2_matrix(d: float, a: float, t: float, b: float) -> tuple:
+    """e^(id) Rz(a) Ry(t) Rz(b) as a row-major 4-tuple, as ``u2_mat`` in
+    gate_algebra; the lowering's 2x2 algebra stays in plain complex numbers,
+    where numpy's per-call cost would outweigh the arithmetic."""
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    e = cmath.exp(1j * d)
+    p, q = cmath.exp(-0.5j * (a + b)), cmath.exp(-0.5j * (a - b))
+    return (e * c * p, -e * s * q, e * s * q.conjugate(), e * c * p.conjugate())
+
+
+def _matmul(m: tuple, k: tuple) -> tuple:
+    a, b, c, d = m
+    e, f, g, h = k
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _dagger(m: tuple) -> tuple:
+    a, b, c, d = m
+    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+
+
+def _matrix_steps(m: tuple) -> tuple:
+    """The cheapest native template of the 2x2 unitary ``m``: one Rz when m is
+    diagonal, X then Rz when antidiagonal, Rz SX Rz when its ZYZ angle t is
+    pi/2, else the two-SX form of ``_u2_steps``; with its phase."""
+    m00, m01, m10, m11 = m
+    d = cmath.phase(m00 * m11 - m01 * m10) / 2
+    turn = cmath.exp(-1j * d)
+    v00, v10, v11 = m00 * turn, m10 * turn, m11 * turn
+    if abs(v10) < _SNAP:
+        return (("phase", None, d), ("Rz", _T, 2 * cmath.phase(v11)))
+    if abs(v00) < _SNAP:
+        # e^(id) Rz(a - b) Ry(pi) = e^(i(d + pi/2)) Rz(a - b - pi) X
+        return (("phase", None, d + _PI / 2), ("X", _T, None), ("Rz", _T, 2 * cmath.phase(v10) - _PI))
+    t = 2 * math.atan2(abs(v10), abs(v00))
+    a = cmath.phase(v11) + cmath.phase(v10)
+    b = cmath.phase(v11) - cmath.phase(v10)
+    if abs(t - _PI / 2) < _SNAP:
+        # Ry(pi/2) = Rz(pi/2) Rx(pi/2) Rz(-pi/2), and SX = e^(i pi/4) Rx(pi/2)
+        return (
+            ("Rz", _T, b - _PI / 2), ("phase", None, d - _PI / 4),
+            ("SX", _T, None), ("Rz", _T, a + _PI / 2),
+        )
+    return _u2_steps(d, a, t, b)
+
+
+def _eigenframe(a: float, t: float, b: float) -> tuple:
+    """W = Rz(phi) Ry(theta), as (phi, theta), with W-dagger Rz(a) Ry(t) Rz(b) W
+    diagonal: W turns the z axis onto the payload's rotation axis.
+
+    The axis is read off the angles, not off the matrix, so it keeps full
+    relative precision for a rotation near the identity (a deep root).  Of
+    the axis and its opposite, the one with z >= 0 is taken, so theta lies
+    in [0, pi/2] and a diagonal payload gets W = I.
+    """
+    s = math.sin(t / 2)
+    x, y = -s * math.sin((a - b) / 2), s * math.cos((a - b) / 2)
+    z = math.cos(t / 2) * math.sin((a + b) / 2)
+    if x == 0.0 and y == 0.0:
+        return (0.0, 0.0)
+    if z < 0:
+        x, y, z = -x, -y, -z
+    return (math.atan2(y, x), math.atan2(math.hypot(x, y), z))
+
+
+def _in_frame(frame: tuple, v: tuple) -> tuple[tuple, tuple]:
+    """W = Rz(phi) Ry(theta) of ``frame`` = (phi, theta), and W-dagger v W."""
+    w = _u2_matrix(0.0, frame[0], frame[1], 0.0)
+    return w, _matmul(_dagger(w), _matmul(v, w))
+
+
+def _cu2_steps(q: tuple, frame: tuple | None = None) -> tuple:
+    """Controlled V, V = e^(id) Rz(a) Ry(t) Rz(b), in V's eigenbasis W: W-dagger
+    on the target, C-Lambda with Lambda = W-dagger V W = diag(e^(i l0),
+    e^(i l1)), then W.  C-Lambda is P(l0) on the control, an Rz and a phase,
+    times CP(l1 - l0) (see ``_cp_steps``): 2 CX.
+
+    Every root of one payload has the payload's eigenbasis, so the W of one
+    root and the W-dagger of the next multiply to the identity on the target,
+    and ``lower_to_ngs`` merges them away.  ``frame`` is the W the last CU2
+    left on this target; it is kept when it diagonalizes V, since a root near
+    the identity has a nearly degenerate spectrum and its own axis drifts in
+    the last digits from the payload's.  Otherwise W is V's ``_eigenframe``.
+    """
+    v = _u2_matrix(*q)
+    w, lam = _in_frame(frame, v) if frame is not None else (None, None)
+    if lam is None or max(abs(lam[1]), abs(lam[2])) > _DIAGONAL:
+        frame = _eigenframe(*q[1:])
+        w, lam = _in_frame(frame, v)
+    l0 = cmath.phase(lam[0])
+    return (
+        _matrix_steps(_dagger(w))
+        + (("phase", None, l0 / 2), ("Rz", _C, l0))
+        + _cp_steps(cmath.phase(lam[3]) - l0)
+        + _matrix_steps(w)
+        + (("frame", _T, frame),)
+    )
 
 
 def _cp_steps(g: float) -> tuple:
@@ -238,6 +339,14 @@ def _cp_steps(g: float) -> tuple:
         ("phase", None, g / 4), ("Rz", _T, g / 2), ("Rz", _C, g / 2),
         ("CX", _C, None), ("Rz", _T, -g / 2), ("CX", _C, None),
     )
+
+
+def _crx_steps(g: float) -> tuple:
+    """Controlled Rx(g) = Rz(-pi/2) Ry(g) Rz(pi/2) as C, CX, B, CX, A (Barenco
+    et al., PRA 52:3457, 1995; see abc_split)."""
+    par_a, par_b, par_c = abc_split(-_PI / 2, g, _PI / 2)
+    head = (("Rz", _T, par_c[3]), ("CX", _C, None))
+    return head + _u2_steps(*par_b) + (("CX", _C, None),) + _u2_steps(*par_a)
 
 
 _SWAP_STEPS = (("CX", _C, None), ("CX", _T, None), ("CX", _C, None))
@@ -252,8 +361,8 @@ LOWERING = {
     "U2": lambda q: _u2_steps(*q),
     "CX": lambda q: (("CX", _C, None),),
     "CP": lambda q: _cp_steps(q[0]),
-    "CRx": lambda q: _cu2_steps(0.0, -_PI / 2, q[0], _PI / 2),
-    "CU2": lambda q: _cu2_steps(*q),
+    "CRx": lambda q: _crx_steps(q[0]),
+    "CU2": _cu2_steps,
     "SWAP": lambda q: _SWAP_STEPS,
 }
 
@@ -270,7 +379,8 @@ def _then_swap(steps: tuple) -> tuple:
 
 
 def _cost(kind: str, native: str) -> int:
-    """How many ``native`` gates (CX, SX or X) the rule for ``kind`` emits.
+    """How many ``native`` gates (CX, SX or X) the rule for ``kind`` emits
+    for a gate lowered alone; a merged run can take SX and X away, never CX.
     Rz is left out: phase folding keeps one Rz per parity and drops zero sums."""
     return sum(step[0] == native for step in LOWERING[kind]((1.0,) * 4))
 
@@ -291,8 +401,9 @@ class _Parities:
     puts a fresh variable on its wireline (``fresh``).  An Rz(a) on a parity
     with constant 1 is an Rz(-a) on the parity without it, so ``rot`` keys a
     rotated parity by its variables (``p >> 1``) and keeps its Rz:
-    [angle sum in that frame, index in ``out`` of its latest occurrence, the
-    wireline there, the constant there].  ``place`` writes that one Rz.
+    [angle sum in that frame, the output list and index of its latest
+    occurrence, the wireline there, the constant there].  ``place`` writes
+    that one Rz.
     """
 
     def __init__(self, n: int) -> None:
@@ -304,7 +415,7 @@ class _Parities:
         self.limit = 2 * n
         self.wraps = 0  # full turns folded out of the sums, mod 2
 
-    def fresh(self, out: list[Gate | None]) -> int:
+    def fresh(self) -> int:
         """The bit of an unused variable id.
 
         Ids stay small, so parities stay small ints: once no id is free and
@@ -322,7 +433,7 @@ class _Parities:
             if dead:
                 rot = self.rot
                 for key in [k for k in rot if k & dead]:
-                    self.place(rot.pop(key), out)
+                    self.place(rot.pop(key))
                 self.free = [v for v in range(self.top - 1, 0, -1) if dead >> (v - 1) & 1]
             live = (held >> 1).bit_count()
             self.limit = live + max(live, self.n)
@@ -331,33 +442,93 @@ class _Parities:
         self.top += 1
         return 1 << (self.top - 1)
 
-    def rotate(self, w: int, angle: float, out: list[Gate | None]) -> None:
+    def apply(self, w: int, kind: str, angle: float | None, out: list) -> None:
+        """Lower one native single-qubit step on wireline w into ``out``."""
+        if kind == "Rz":
+            if angle:
+                self.rotate(w, angle, out)
+            return
+        self.par[w] = self.par[w] ^ 1 if kind == "X" else self.fresh()
+        out.append(Gate(kind, w))
+
+    def rotate(self, w: int, angle: float, out: list) -> None:
         """Add an Rz(angle) on wireline w to its parity's Rz, which moves to
         this occurrence: a placeholder appended to ``out``."""
         p = self.par[w]
         neg = p & 1
         entry = self.rot.get(p >> 1)
         if entry is None:
-            self.rot[p >> 1] = [-angle if neg else angle, len(out), w, neg]
+            self.rot[p >> 1] = [-angle if neg else angle, out, len(out), w, neg]
         else:
             entry[0] += -angle if neg else angle
-            entry[1:] = len(out), w, neg
+            entry[1:] = out, len(out), w, neg
         out.append(None)
 
-    def place_all(self, out: list[Gate | None]) -> None:
+    def place_all(self) -> None:
         """Write the Rz of every parity still open, once the lowering is done."""
         for entry in self.rot.values():
-            self.place(entry, out)
+            self.place(entry)
         self.rot.clear()
 
-    def place(self, entry: list, out: list[Gate | None]) -> None:
+    def place(self, entry: list) -> None:
         """Write a parity's one Rz at its latest occurrence; a sum that
         vanishes leaves nothing, and its full turns go to ``wraps``."""
-        angle, i, w, neg = entry
+        angle, out, i, w, neg = entry
         a, wraps = _fold_turns(angle)
         self.wraps += wraps
         if abs(a) > 1e-12:
             out[i] = rz(-a if neg else a, w)
+
+
+#: kinds whose single-qubit steps may merge with those of a neighbour
+_MERGING = frozenset({"H", "U2", "CU2"})
+
+_SX_MATRIX = (0.5 + 0.5j, 0.5 - 0.5j)
+
+
+class _Run:
+    """The single-qubit steps a wireline took since its last CX, held back
+    while they may still merge.  Each gate's steps form a segment, with a
+    sub-list of ``out`` reserved where they would have gone (its index goes
+    to ``reserved``), and ``sources`` counts the H, U2 and CU2 gates among
+    them that hold an SX or X."""
+
+    __slots__ = ("out", "reserved", "segments", "gate", "counted", "sources")
+
+    def __init__(self, out: list, reserved: list[int]) -> None:
+        self.out, self.reserved = out, reserved
+        self.segments: list[tuple[list, list]] = []
+        self.gate = self.counted = -1
+        self.sources = 0
+
+    def add(self, gate: int, kind: str, angle: float | None, source: bool) -> None:
+        """Hold step (kind, angle) of gate number ``gate``."""
+        if gate != self.gate:
+            self.gate = gate
+            sub: list = []
+            self.reserved.append(len(self.out))
+            self.out.append(sub)
+            self.segments.append((sub, []))
+        self.segments[-1][1].append((kind, angle))
+        if source and kind != "Rz" and self.counted != gate:
+            self.counted = gate
+            self.sources += 1
+
+    def matrix(self) -> tuple:
+        """The product of the held steps, a row-major 2x2 4-tuple."""
+        a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+        p, q = _SX_MATRIX
+        for _, steps in self.segments:
+            for kind, angle in steps:
+                if kind == "Rz":
+                    e = cmath.exp(-0.5j * angle)
+                    f = e.conjugate()
+                    a, b, c, d = a * e, b * e, c * f, d * f
+                elif kind == "SX":
+                    a, b, c, d = p * a + q * c, p * b + q * d, q * a + p * c, q * b + p * d
+                else:
+                    a, b, c, d = c, d, a, b
+        return a, b, c, d
 
 
 def _native_basis(g: Gate, w: int) -> str:
@@ -467,28 +638,64 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     A controlled gate and a SWAP of its pair next to it lower as one
     template, ``_then_swap`` of the gate's, one CX more than the gate alone.
     SWAP then G(c, t) is G(t, c) then SWAP; a SWAP between two gates of its
-    pair goes with the one before it.
+    pair goes with the one before it.  A CU2 is handed the eigenbasis the
+    last CU2 on its target left there (see ``_cu2_steps``).
+
+    A wireline's single-qubit steps between two CX (a run) are multiplied
+    into one 2x2 and lowered by ``_matrix_steps`` when their SX and X come
+    from two or more H, U2 or CU2 gates (Nam, Ross, Su, Childs & Maslov, npj
+    Quantum Inf. 4:23, 2018): the frames between two roots of one payload
+    then vanish.  Such a run is held back (``_Run``) until its wireline's
+    next CX; a run that does not merge is lowered step by step into the
+    places reserved for it, so the output is the same as if it had never
+    been held.  The merged form goes where the run's last gate was.
 
     Rz gates are phase-folded: each wireline holds a parity of path variables
     (see ``_Parities``), an Rz on a parity adds its phase term to the path
     sum's phase, and the terms on one parity add up, wherever they sit (Amy,
-    Maslov & Mosca, IEEE TCAD 33:1476, 2014; Nam, Ross, Su, Childs & Maslov,
-    npj Quantum Inf. 4:23, 2018).  So every parity keeps one Rz, the sum of
-    its angles, at its latest occurrence.  This is exact for every circuit,
-    and only Rz gates disappear.  A sum that vanishes is dropped and full
-    turns fold into the phase (Rz(2 pi) = -1) as an integer parity; the
-    template phases are summed with ``math.fsum``, so the phase is correctly
-    rounded.  The commutation-aware scheduler then reorders the gates.  A
-    routed circuit's ``final_layout`` carries over.
+    Maslov & Mosca, IEEE TCAD 33:1476, 2014; Nam et al.).  So every parity
+    keeps one Rz, the sum of its angles, at its latest occurrence.  This is
+    exact for every circuit, and only Rz gates disappear.  A sum that
+    vanishes is dropped and full turns fold into the phase (Rz(2 pi) = -1)
+    as an integer parity; the template phases are summed with ``math.fsum``,
+    so the phase is correctly rounded.  The commutation-aware scheduler then
+    reorders the gates.  A routed circuit's ``final_layout`` carries over.
     """
-    out: list[Gate | None] = []
+    out: list = []
+    reserved: list[int] = []
     parities = _Parities(circ.n)
     par = parities.par
+    apply, rotate, fresh = parities.apply, parities.rotate, parities.fresh
     terms: list[float] = []
+    runs: list[_Run | None] = [None] * (circ.n + 1)
+    frames: dict[int, tuple] = {}
+
+    def hold(q: int, kind: str, angle: float | None) -> None:
+        run = runs[q]
+        if run is None:
+            run = runs[q] = _Run(out, reserved)
+        run.add(gate, kind, angle, source)
+
+    def flush(q: int) -> None:
+        run = runs[q]
+        runs[q] = None
+        if run.sources < 2:
+            for sub, steps in run.segments:
+                for kind, angle in steps:
+                    apply(q, kind, angle, sub)
+            return
+        sub = run.segments[-1][0]
+        for kind, _, angle in _matrix_steps(run.matrix()):
+            if kind == "phase":
+                terms.append(angle)
+            else:
+                apply(q, kind, angle, sub)
+
     gates = circ.gates
     i = 0
     while i < len(gates):
         g = gates[i]
+        gate = i
         nxt = gates[i + 1] if i + 1 < len(gates) else g
         ops = (g.target, g.control)
         fuse = (g.kind == "SWAP") != (nxt.kind == "SWAP") and (
@@ -496,27 +703,59 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
         )
         if fuse and g.kind == "SWAP":
             g, ops = nxt, (nxt.control, nxt.target)
-        steps = LOWERING[g.kind](g.params)
+        if g.kind == "CU2":
+            steps = _cu2_steps(g.params, frames.get(ops[_T]))
+        else:
+            steps = LOWERING[g.kind](g.params)
         if fuse:
             steps = _then_swap(steps)
         i += 2 if fuse else 1
+        source = g.kind in _MERGING
+        # Only a source opens a run, so a gate that is none and finds no run
+        # open on its wirelines lowers with no run bookkeeping.
+        watch = source or runs[ops[0]] is not None or (
+            ops[1] is not None and runs[ops[1]] is not None
+        )
         for kind, w, angle in steps:
             if kind == "Rz":
-                if angle:
-                    parities.rotate(ops[w], angle, out)
-            elif kind == "phase":
-                terms.append(angle)
+                q = ops[w]
+                if watch and (source or runs[q] is not None):
+                    hold(q, kind, angle)
+                elif angle:
+                    rotate(q, angle, out)
             elif kind == "CX":
                 c, t = ops[w], ops[1 - w]
+                if watch:
+                    if runs[c] is not None:
+                        flush(c)
+                    if runs[t] is not None:
+                        flush(t)
                 par[t] ^= par[c]
                 out.append(Gate("CX", t, control=c))
+            elif kind == "phase":
+                terms.append(angle)
+            elif kind == "frame":
+                frames[ops[w]] = angle
             else:
                 q = ops[w]
-                par[q] = par[q] ^ 1 if kind == "X" else parities.fresh(out)
-                out.append(Gate(kind, q))
-    parities.place_all(out)
-    out = [g for g in out if g is not None]
-    kept = _commute_schedule(out, circ.n)
+                if watch and (source or runs[q] is not None):
+                    hold(q, kind, angle)
+                else:
+                    par[q] = par[q] ^ 1 if kind == "X" else fresh()
+                    out.append(Gate(kind, q))
+    for q in range(1, circ.n + 1):
+        if runs[q] is not None:
+            flush(q)
+    parities.place_all()
+    flat: list = []
+    start = 0
+    for k in reserved:
+        flat += out[start:k]
+        flat += out[k]
+        start = k + 1
+    flat += out[start:]
+    flat = [h for h in flat if h is not None]
+    kept = _commute_schedule(flat, circ.n)
     terms.append(math.pi * (parities.wraps % 2))
     phase = math.fmod(math.fsum(terms), TWO_PI)
     return NativeCircuit(circ.n, kept, phase, final_layout=circ.final_layout)
@@ -571,16 +810,19 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 
 # -- closed-form models for the native circuits ----------------------------------
 #
-# ``model_cx``, ``model_sx`` and ``model_swaps`` are derived: the abstract
-# counts of ``expected_counts`` times the per-kind costs of ``LOWERING``, and
-# on a line the swaps of the stage-walk network (see ``_walk``) with the CX
-# each costs.  The built circuits (generic payload) meet them exactly on every
-# width.  ``model_depth`` is reference data: fully-connected depth for the two
-# MCU methods plus an additive line overhead, with no stated provenance; its
+# ``model_cx`` and ``model_swaps`` are derived: the abstract counts of
+# ``expected_counts`` times the per-kind costs of ``LOWERING``, and on a line
+# the swaps of the stage-walk network (see ``_walk``) with the CX each costs.
+# ``model_sx`` also takes away the SX of the runs that merge.  The built
+# circuits (generic payload) meet them exactly on every width.
+# ``model_depth`` is reference data: fully-connected depth for the two MCU
+# methods plus an additive line overhead, with no stated provenance; its
 # mcu-zyz slope of 32 is that of list scheduling with only neighbouring Rz
-# merged (32n-49); phase folding and the commutation-aware scheduler pack it
-# to 21n-25 for even n and 21n-24 for odd n (n = 5..40), and mcu-mod to a
-# slope of about 34.5.  The metrics report deviations against all of them.
+# merged (32n-49).  Phase folding, merged runs and the commutation-aware
+# scheduler pack mcu-zyz to 21n-35 for even n and 21n-34 for odd n
+# (n = 5..40), and mcu-mod, its roots lowered in the payload's eigenbasis,
+# to 21n-47 for even n and 21n-49 for odd n (n = 4..40; 57 at n = 5).  The
+# metrics report deviations against all of them.
 
 def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
     if method == "mcu-mod":
@@ -597,9 +839,10 @@ def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
 
 
 def _lowered_count(method: str, n: int, native: str) -> int:
-    """Native gates of one kind in the fully-connected circuit: the pinned
-    abstract counts times the per-kind cost of the lowering table.  Exact for
-    CX and SX, which neither phase folding nor the scheduler removes."""
+    """Native gates of one kind in the fully-connected circuit if every gate
+    lowered alone: the pinned abstract counts times the per-kind cost of the
+    lowering table.  Exact for CX, which no merge, phase folding or scheduling
+    removes; merged runs take SX away (see ``model_sx``)."""
     return sum(c * _cost(kind, native) for kind, c in expected_counts(method, n).items())
 
 
@@ -627,4 +870,19 @@ def model_cx(method: str, n: int, arch: str = "fc") -> int:
 
 
 def model_sx(method: str, n: int) -> int:
-    return _lowered_count(method, n, "SX")
+    """SX in the fully-connected mcu-mod or mcu-zyz circuit (n >= 4).
+
+    Runs merge only on wireline n: an H elsewhere meets no other H, U2 or
+    CU2 before a CX, so it keeps its one SX.  On wireline n, mcu-mod's 2n-3
+    roots follow each other with nothing else between them, so the ladder
+    keeps only its first W-dagger and its last W, two SX each: 4n - 8 in
+    all.  mcu-zyz's U2 gates C, B and A meet the four H of wireline n as
+    C H, H B H and H A.  C = Rz((b-a)/2) is diagonal, so C H is Rz SX Rz
+    (one SX); the other two runs are generic (two SX each): 4n - 7 in all.
+    """
+    h = expected_counts(method, n)["H"] * _cost("H", "SX")
+    if method == "mcu-mod":
+        return h + 2 * 2
+    if method == "mcu-zyz":
+        return h - 4 * _cost("H", "SX") + 1 + 2 + 2
+    raise ValueError(f"no SX model for {method!r}")

@@ -9,15 +9,19 @@ ones included, the lowering also keeps at most one Rz on each parity of path
 variables (phase folding), and so at most one in each Z-basis run of a
 wireline (its Rz and CX controls between two X-basis gates).  A tracker local
 to these tests names the parities with ids that are never reused, so it
-checks the lowering's recycled ids independently.
+checks the lowering's recycled ids independently.  On random H, U2, CU2 and
+CX circuits, whose single-qubit runs merge, the lowering keeps every CX and
+never spends more SX and X than the gates lowered alone would.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
-from test_route_properties import SETTINGS, annotated_builds, unannotated_circuits
+from hypothesis import strategies as st
+from test_route_properties import ANGLES, SETTINGS, annotated_builds, unannotated_circuits
 
-from qftmcu.circuit import Circuit, Gate, cx, from_json, rz, to_json, x
+from qftmcu.circuit import Circuit, Gate, cu2, cx, from_json, h, rz, to_json, u2, x
+from qftmcu.gate_algebra import root, u2_mat, zyz_decompose
 from qftmcu.layout import NATIVE_KINDS, lower_to_ngs, route_lnn
 from qftmcu.optimizer import (
     cancel_cx_pairs,
@@ -44,6 +48,46 @@ def test_lowering_is_native_and_exact_with_its_phase(circ):
     assert {g.kind for g in nc.gates} <= set(NATIVE_KINDS)
     got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
     assert np.abs(got - circuit_unitary(circ)).max() < 1e-10
+
+
+# What each kind costs when it lowers alone: (CX, SX + X).
+ALONE = {"H": (0, 1), "U2": (0, 2), "CU2": (2, 4), "CX": (1, 0)}
+
+
+@st.composite
+def merging_circuits(draw):
+    """H, U2, CU2 and CX on 2-3 wirelines, the kinds whose runs merge.  Half
+    the CU2 carry a root of one shared payload (deep roots included), so
+    neighbouring roots share an eigenbasis the way a ladder's do."""
+    n = draw(st.integers(2, 3))
+    payload = u2_mat(*(draw(ANGLES) for _ in range(4)))
+    out = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("H", "U2", "CU2", "CU2", "CX")))
+        t, c = draw(st.permutations(range(1, n + 1)))[:2]
+        if kind == "H":
+            out.append(h(t))
+        elif kind == "U2":
+            out.append(u2(tuple(draw(ANGLES) for _ in range(4)), t))
+        elif kind == "CX":
+            out.append(cx(c, t))
+        elif draw(st.booleans()):
+            m = draw(st.sampled_from((1, 2, 3, 5, 30)))
+            out.append(cu2(zyz_decompose(root(payload, m)), c, t))
+        else:
+            out.append(cu2(tuple(draw(ANGLES) for _ in range(4)), c, t))
+    return Circuit(n, out)
+
+
+@SETTINGS
+@given(merging_circuits())
+def test_merged_runs_are_exact_and_never_cost_more(circ):
+    nc = lower_to_ngs(circ)
+    got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
+    assert np.abs(got - circuit_unitary(circ)).max() < 1e-12
+    counts = nc.counts()
+    assert counts["CX"] == sum(ALONE[g.kind][0] for g in circ.gates)
+    assert counts["SX"] + counts["X"] <= sum(ALONE[g.kind][1] for g in circ.gates)
 
 
 def _rz_per_z_run(gates, w):
