@@ -3,7 +3,7 @@ Lowering to the native gate set, with and without neighbour constraints
 =======================================================================
 
 synth_native runs the whole pipeline: build, optimize, (optionally) route
-for a linear chain (QFT stages by the neighbour swap network), then lower
+for a linear chain (QFT stages by the parity walk), then lower
 every abstract gate to {CX, Rz, SX, X} by its rule in `LOWERING` and
 schedule the result.  The returned circuit carries its exact global phase
 and, after routing, where each logical qubit ended up, so verify_mcu checks
@@ -33,12 +33,13 @@ for arch in ("fc", "lnn"):
     print(f"     swaps inserted: {nc.swaps_inserted}   verified vs oracle: {res.ok} "
           f"({res.max_deviation:.2e}, residual phase {res.global_phase:+.1e})\n")
 
-# On the chain each QFT stage's target walks across the lower wirelines,
-# one SWAP per wireline it passes.  A SWAP next to a controlled gate on the
-# same pair (after it in a QFT, before it in an inverse QFT) is lowered
-# with that gate and costs one CX more, not three; the others are bare
-# SWAPs.  Every block ends where it started, so the final layout is the
-# identity.
+# On the chain each QFT stage's target steps past every lower wireline
+# with a CX and a SWAP of the same pair, which lowering merges into 2 CX,
+# and each controlled phase becomes P gates on the parities the steps
+# leave.  So a controlled phase costs the line no CX: the overhead is the
+# CX that keep the wirelines below the target in difference form and one
+# bare SWAP per block, linear in n.  Every block ends where it started, so
+# the final layout is the identity.
 fc = synth_native(cfg, arch="fc")
 lnn = synth_native(cfg, arch="lnn")
 routed = route_lnn(build(cfg))

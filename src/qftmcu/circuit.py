@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 TWO_QUBIT = frozenset({"CX", "CP", "CRx", "CU2", "SWAP"})
 
@@ -76,15 +76,17 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("circuit needs at least one wireline")
+        n = self.n
         for g in self.gates:
-            for w in g.wires():
-                if not 1 <= w <= self.n:
-                    raise ValueError(f"gate {g.kind} touches wireline {w} outside 1..{self.n}")
+            t, c = g.target, g.control
+            if not 1 <= t <= n or (c is not None and not 1 <= c <= n):
+                w = t if not 1 <= t <= n else c
+                raise ValueError(f"gate {g.kind} touches wireline {w} outside 1..{n}")
 
 
 def schedule_slots(circ: Circuit) -> int:
     """Assign abstract time slots; returns how many the circuit takes."""
-    avail = {w: 0 for w in range(1, circ.n + 1)}
+    avail = [0] * (circ.n + 1)
     floor = makespan = 0
     block = None
     for g in circ.gates:
@@ -92,10 +94,14 @@ def schedule_slots(circ: Circuit) -> int:
             if block is not None and g.block != block:
                 floor = makespan
             block = g.block
-        slot = max([floor] + [avail[w] for w in g.wires()]) + 1
-        for w in g.wires():
-            avail[w] = slot
-        makespan = max(makespan, slot)
+        t, c = g.target, g.control
+        slot = avail[t] if c is None or avail[t] > avail[c] else avail[c]
+        slot = (slot if slot > floor else floor) + 1
+        avail[t] = slot
+        if c is not None:
+            avail[c] = slot
+        if slot > makespan:
+            makespan = slot
     return makespan
 
 
@@ -107,16 +113,20 @@ def count_gates(circ: Circuit) -> dict[str, int]:
     return out
 
 
-def _invert_gate(g: Gate) -> Gate:
+def _invert_gate(g: Gate, role: str | None) -> Gate:
+    """The inverse of g, with the role given."""
     if g.kind in _ANGLE_KINDS:
-        return replace(g, params=tuple(-x for x in g.params))
-    if g.kind == "SX":
-        raise ValueError("cannot invert SX: SX-dagger is not a gate kind")
-    if g.kind in ("U2", "CU2"):
+        params = tuple(-x for x in g.params)
+    elif g.kind in ("U2", "CU2"):
         d, a, t, b = g.params
-        return replace(g, params=(-d, -b, -t, -a))
-    # H, X, CX, SWAP are involutions
-    return g
+        params = (-d, -b, -t, -a)
+    elif g.kind == "SX":
+        raise ValueError("cannot invert SX: SX-dagger is not a gate kind")
+    elif role == g.role:
+        return g  # H, X, CX, SWAP are involutions
+    else:
+        params = g.params
+    return Gate(g.kind, g.target, g.control, params, g.block, role, g.root_m)
 
 
 def inverse(circ: Circuit) -> Circuit:
@@ -127,13 +137,7 @@ def inverse(circ: Circuit) -> Circuit:
     if circ.final_layout is not None:
         raise ValueError("cannot invert a routed circuit (it has a final_layout)")
     flip = {"qft": "iqft", "iqft": "qft"}
-    out = []
-    for g in reversed(circ.gates):
-        inv = _invert_gate(g)
-        if inv.role in flip:
-            inv = replace(inv, role=flip[inv.role])
-        out.append(inv)
-    return Circuit(circ.n, out)
+    return Circuit(circ.n, [_invert_gate(g, flip.get(g.role, g.role)) for g in reversed(circ.gates)])
 
 
 def to_json(circ: Circuit) -> str:

@@ -4,12 +4,15 @@ The native set is {CX, Rz, SX, X} (identity is never emitted).  Lowering
 tracks the global phase exactly, so a lowered circuit times e^(i phase)
 reproduces the abstract unitary to machine precision.  Routing for a linear
 nearest-neighbour architecture walks each QFT stage's target across its
-lower wirelines with neighbour SWAPs, so every block returns to the identity
-layout; unannotated gates are routed greedily and the final
+lower wirelines, so every block returns to the identity layout: the parity
+walk steps it past each one with CX then SWAP over wirelines kept in
+difference form and writes each controlled phase as P gates on its phase
+terms, and the swap walk (for CRx stages) passes each one with a SWAP
+after its gate.  Unannotated gates are routed greedily and the final
 logical-to-physical layout is recorded on the routed circuit
-(``Circuit.final_layout``) instead of undone.  The routed circuit holds only
-logical gates and bare SWAPs; lowering fuses a controlled gate with a SWAP
-of its pair beside it.
+(``Circuit.final_layout``) instead of undone.  The routed circuit holds
+logical gates, P gates, CX and SWAPs; lowering fuses a controlled gate
+(a CX included) with a SWAP of its pair beside it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import cmath
 import heapq
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +50,7 @@ class _Line:
     def emit(self, g: Gate) -> None:
         """Append a logical gate at its physical wirelines."""
         c = None if g.control is None else self.l2p[g.control]
-        self.out.append(replace(g, target=self.l2p[g.target], control=c))
+        self.out.append(Gate(g.kind, self.l2p[g.target], c, g.params, g.block, g.role, g.root_m))
 
     def swap(self, a: int, b: int) -> None:
         """Exchange physical neighbours a and b."""
@@ -73,7 +76,8 @@ class _Line:
 
 
 def _walk(line: _Line, gates: list[Gate]) -> None:
-    """Route a QFT half: each stage's target walks across its lower wirelines.
+    """Route a QFT half by the swap walk: each stage's target walks across
+    its lower wirelines.
 
     A stage is a run of gates on one target t (its H and the controlled
     gates onto t).  The target steps to each control, and after the gate the
@@ -107,20 +111,254 @@ def _walk(line: _Line, gates: list[Gate]) -> None:
             p += step
 
 
+def _run_end(gates: list[Gate], i: int, role: str, block: str | None) -> int:
+    """The end of the run of gates from i on with this role and block."""
+    while i < len(gates) and gates[i].role == role and gates[i].block == block:
+        i += 1
+    return i
+
+
+def _stages(gates: list[Gate]) -> list[tuple[int, Gate | None, list[Gate]]] | None:
+    """A QFT half in walk order as stages (target, head, controlled gates),
+    or None when it is not one the parity walk takes.
+
+    A stage is a run of gates on one target t: an optional H, then CP gates
+    from wirelines below t, or a run of CU2 gates (a root ladder) from them.
+    The targets must run k, k-1, ..., s down from the top with s >= 2, so
+    wireline 1 never takes a head (see :func:`_parity_walk`).
+    """
+    stages: list[tuple[int, Gate | None, list[Gate]]] = []
+    for g in gates:
+        if stages and g.target == stages[-1][0] and g.kind in ("CP", "CU2"):
+            ctrl = stages[-1][2]
+            if g.control > g.target or (ctrl and ctrl[0].kind != g.kind) or (
+                g.kind == "CU2" and stages[-1][1] is not None
+            ):
+                return None
+            ctrl.append(g)
+        elif g.kind in ("H", "CP", "CU2") and (not stages or g.target == stages[-1][0] - 1):
+            if g.kind == "H":
+                stages.append((g.target, g, []))
+            elif g.control < g.target:
+                stages.append((g.target, None, [g]))
+            else:
+                return None
+        else:
+            return None
+    if not stages or stages[-1][0] < 2:
+        return None
+    return stages
+
+
+def _terms(g: Gate, frame: tuple | None) -> tuple[float, float, float] | None:
+    """The phase polynomial of a diagonal controlled gate g, as angles on
+    its control x, on its target y and on their parity x + y (mod 2):
+    xy = (x + y - (x + y mod 2)) / 2, so CP(a) is P(a/2), P(a/2) and
+    P(-a/2) on them.  A root is C-Lambda in the eigenframe W = Rz(phi)
+    Ry(theta) of its ladder, ``frame`` = (phi, theta) (see ``_cu2_steps``):
+    with W-dagger V W = diag(e^(i l0), e^(i l1)), P(l0) on the control times
+    CP(l1 - l0).  None when W does not diagonalize V."""
+    if g.kind == "CP":
+        a = g.params[0] / 2
+        return a, a, -a
+    _, lam = _in_frame(frame, _u2_matrix(*g.params))
+    if max(abs(lam[1]), abs(lam[2])) > _DIAGONAL:
+        return None
+    l0 = cmath.phase(lam[0])
+    a = (cmath.phase(lam[3]) - l0) / 2
+    return l0 + a, a, -a
+
+
+def _walk_half(
+    stages: list, k: int, frame: tuple | None, after: bool
+) -> tuple[list[Gate], list[int]] | None:
+    """The parity walk of one QFT half on wirelines 1..k from the identity,
+    in walk order, and the parity each wireline ends on (bit w is the value
+    wireline w started on, bit k + t the value stage t's head left).
+
+    The wirelines below the stage target are kept in difference form: the
+    first control pure and each further one XORed with the control above
+    it (k - 2 CX before the first stage).  The target T steps past each
+    control C with CX(C -> T), SWAP(T, C): T holds y + (the control it
+    passed last) and C holds x_c + (that same control), so after the step
+    C holds y + x_c, where the CP's parity term goes, and T the control in
+    difference form.  Lowering fuses the CX with the SWAP, so a step costs
+    2 CX where CP then SWAP costs 3.  Each CP's linear terms go on its
+    control at the start and on its target right after the head, when both
+    are pure.  The target passes every wireline below it, with or without a
+    gate from it, so every half on k wirelines with the same stages walks
+    one network.
+
+    Stage t leaves the wirelines below it in difference form with the
+    control above them, t - 1, on top; one CX from t - 1 takes it out of
+    them before its head.  That CX commutes with the last CX of the step
+    below the top, so that step is written as its two CX with this one
+    between them: it goes first when both are ready, and the next stage
+    starts a layer sooner.  Stage 2 passes nothing: its gates from
+    wireline 1 act in place, as in the swap walk.  ``after`` says the walk
+    is a mirror, read backwards: a root ladder's frame W then follows its
+    roots.
+    """
+    out: list[Gate] = []
+    emit = out.append
+    walked = []
+    for t, head, ctrl in stages:
+        terms = [(_terms(g, frame), g) for g in ctrl] if t > 2 else []
+        if any(x is None for x, _ in terms):
+            return None
+        walked.append((t, head, ctrl, terms))
+        for (on_c, _, _), g in terms:
+            emit(Gate("P", g.control, None, (on_c,), g.block, g.role, g.root_m))
+    par = [0] + [1 << w for w in range(1, k + 1)]
+    for c in range(1, k - 1):
+        emit(Gate("CX", c, c + 1))
+        par[c] ^= par[c + 1]
+    step = [(Gate("CX", p, p - 1), Gate("SWAP", p - 1, p)) for p in range(k + 1)[1:]]
+    iso = Gate("CX", k - 1, k)
+    last = stages[-1][0]
+    for t, head, ctrl, terms in walked:
+        if ctrl and ctrl[0].kind == "CU2":
+            par[k] = 1 << (k + t)
+            if t > 2:
+                phi, theta = frame  # W after the roots, W-dagger before them
+                w = (0.0, phi, theta, 0.0) if after else (0.0, 0.0, -theta, -phi)
+                head = Gate("U2", k, None, w, ctrl[0].block, ctrl[0].role)
+        if head is not None:
+            emit(Gate(head.kind, k, None, head.params, head.block, head.role, head.root_m))
+            par[k] = 1 << (k + t)
+        if t == 2:
+            for g in ctrl:
+                emit(Gate(g.kind, k, k - 1, g.params, g.block, g.role, g.root_m))
+            continue
+        passing: list[list] = [[] for _ in range(t)]
+        for (_, on_t, on_xy), g in terms:
+            emit(Gate("P", k, None, (on_t,), g.block, g.role, g.root_m))
+            passing[g.control].append((on_xy, g))
+        for pos in range(k, k - t + 1, -1):
+            cx_, swap_ = step[pos - 1]
+            par[pos - 1], par[pos] = par[pos] ^ par[pos - 1], par[pos - 1]
+            if pos == k - 1 and t > last:
+                emit(Gate("CX", k - 2, k - 1))
+                emit(iso)
+                emit(cx_)
+                par[k - 1] ^= par[k]
+            else:
+                emit(cx_)
+                emit(swap_)
+            for angle, g in passing[pos - 1 - k + t]:
+                emit(Gate("P", pos - 1, None, (angle,), g.block, g.role, g.root_m))
+    return out, par
+
+
+def _parity_walk(line: _Line, gates: list[Gate], i: int) -> int | None:
+    """Route the block whose qft half starts at gates[i] by the parity walk,
+    or return None (emitting nothing) when it is not one the walk takes.
+
+    The block is a qft half, the ``column`` gates after it and an iqft half
+    of the same block label; CX gates at the seam of the halves (a
+    CX(1, 2)) belong to neither.  Both halves are walked over the block's
+    wirelines 1..k by :func:`_walk_half` from the identity, the iqft half as
+    the mirror of its reversed gate list, so it runs backwards into the
+    identity.  Between them the wirelines hold parities of the values the
+    logical wirelines hold there.  A CX between the halves only renames
+    those values, and costs nothing.  An X goes before the block when the
+    qft half has no gate on its wireline, after it when the iqft half has
+    none (so mcx-qft keeps one X per block), and otherwise on every
+    wireline whose parity holds its value.  Neighbour SWAPs then take the
+    row from where the qft half ends to where the mirror starts (one SWAP
+    after a CX(1, 2), none otherwise); a block whose seam is no permutation
+    is not taken.  The whole block acts on wirelines 1..k, which must sit
+    at home.
+    """
+    block = gates[i].block
+    j = _run_end(gates, i, "qft", block)
+    m = j
+    while m < len(gates) and gates[m].block == block and gates[m].role == "column":
+        m += 1
+    end = _run_end(gates, m, "iqft", block)
+    qft, iqft = gates[i:j], gates[m:end]
+    lo = len(qft)
+    while lo and qft[lo - 1].kind == "CX":
+        lo -= 1
+    hi = 0
+    while hi < len(iqft) and iqft[hi].kind == "CX":
+        hi += 1
+    seam = qft[lo:] + gates[j:m] + iqft[:hi]
+    fwd, back = _stages(qft[:lo]), _stages(iqft[hi:][::-1])
+    if fwd is None or back is None or [s[0] for s in fwd] != [s[0] for s in back]:
+        return None
+    k = fwd[0][0]
+    if any(line.l2p[w] != w for w in range(1, k + 1)):
+        return None
+    roots = [g for g in qft + iqft if g.kind == "CU2"]
+    frame = _eigenframe(*roots[0].params[1:]) if roots else None
+    walked = _walk_half(fwd, k, frame, after=False)
+    mirrored = _walk_half(back, k, frame, after=True)
+    if walked is None or mirrored is None:
+        return None
+    (out, par), (mirror, want) = walked, mirrored
+    headed = {t for t, head, ctrl in fwd if head is not None or ctrl[0].kind == "CU2"}
+
+    def value(w: int) -> int:
+        return 1 << (k + w if w in headed else w)
+
+    def touched(stages: list) -> set[int]:
+        return {t for t, _, _ in stages} | {g.control for _, _, ctrl in stages for g in ctrl}
+
+    renames = any(g.kind == "CX" for g in seam)
+    before: list[Gate] = []
+    flips: list[Gate] = []
+    after: list[Gate] = []
+    for g in seam:
+        if any(w > k for w in g.wires()) or g.kind not in ("CX", "X"):
+            return None
+        if g.kind == "CX":
+            src, dst = value(g.control), value(g.target)
+            for w in range(1, k + 1):
+                if par[w] & dst:
+                    par[w] ^= src
+        elif not renames and g.target not in touched(fwd):
+            before.append(g)
+        elif not renames and g.target not in touched(back):
+            after.append(g)
+        else:
+            held = value(g.target)
+            flips += [Gate("X", w, None, (), g.block, g.role) for w in range(1, k + 1) if par[w] & held]
+    if sorted(par) != sorted(want):
+        return None
+    swaps: list[Gate] = []
+    for w in range(k, 0, -1):
+        q = par.index(want[w])
+        for r in range(q, w):
+            swaps.append(swap(r, r + 1))
+            par[r], par[r + 1] = par[r + 1], par[r]
+    line.out += before
+    line.out += out
+    line.out += flips
+    line.out += swaps
+    line.out += reversed(mirror)
+    line.out += after
+    return end
+
+
 def route_lnn(circ: Circuit) -> Circuit:
     """Make every two-qubit gate act on adjacent wirelines.
 
-    The QFT halves that the builders annotate (role ``qft`` and ``iqft``,
-    a run per block) are routed by :func:`_walk`.  A ``qft`` half walks
-    forward from the current layout; an ``iqft`` half is the mirror of its
-    reversed gate list walked from the identity, so it ends every block at
-    the identity layout (entered, if needed, through neighbour swaps to the
-    layout its mirror starts from).  Any other gate is routed greedily: its
-    control steps toward its target one SWAP at a time.  The permutation is
-    carried forward rather than undone: the routed circuit's
-    ``final_layout`` says where each logical wireline ended up, so it equals
-    (layout permutation) o (original).  Each inserted swap is one SWAP gate.
-    The work is O(gates + swaps).
+    A block of the builders' QFT halves (role ``qft`` and ``iqft``) whose
+    stages are all H, CP and root ladders is routed by the parity walk
+    (:func:`_parity_walk`): each CP and root above stage 2 becomes its phase
+    terms as P gates (with its annotations) between CX and SWAP gates, and
+    a ladder's roots share one frame.  Other halves (CRx stages, a half
+    without its partner) are routed by the swap walk (:func:`_walk`): a
+    ``qft`` half walks forward from the current layout; an ``iqft`` half is
+    the mirror of its reversed gate list walked from the identity, entered,
+    if needed, through neighbour swaps to the layout its mirror starts
+    from.  So both walks end every block at the identity layout.  Any other
+    gate is routed greedily: its control steps toward its target one SWAP
+    at a time.  The permutation is carried forward rather than undone: the
+    routed circuit's ``final_layout`` says where each logical wireline ended
+    up, so it equals (layout permutation) o (original).  Each inserted swap
+    is one SWAP gate.  The work is O(gates + swaps).
     """
     n = circ.n
     line = _Line(n)
@@ -134,9 +372,12 @@ def route_lnn(circ: Circuit) -> Circuit:
             line.emit(g)
             i += 1
             continue
-        j = i
-        while j < len(gates) and gates[j].role == g.role and gates[j].block == g.block:
-            j += 1
+        if g.role == "qft":
+            end = _parity_walk(line, gates, i)
+            if end is not None:
+                i = end
+                continue
+        j = _run_end(gates, i, g.role, g.block)
         if g.role == "qft":
             _walk(line, gates[i:j])
         else:
@@ -371,11 +612,15 @@ def _then_swap(steps: tuple) -> tuple:
     """A controlled gate's template followed by a SWAP of its pair, as
     ``lower_to_ngs`` emits the two when they are neighbours.  The
     single-qubit steps after the template's last CX cross the SWAP to the
-    other operand, and that CX cancels the SWAP's first: a CP then a SWAP is
-    3 CX, not 2 + 3."""
-    k = max(i for i, step in enumerate(steps) if step[0] == "CX")
-    tail = tuple((kind, w if w is None else 1 - w, angle) for kind, w, angle in steps[k + 1 :])
-    return steps[:k] + _SWAP_STEPS[1:] + tail
+    other operand.  That CX, from operand w, cancels the first CX of the
+    SWAP written as CX(w ->), CX(-> w), CX(w ->): a CP then a SWAP is 3 CX,
+    not 2 + 3."""
+    k = len(steps) - 1
+    while steps[k][0] != "CX":
+        k -= 1
+    w = steps[k][1]
+    tail = tuple((kind, q if q is None else 1 - q, angle) for kind, q, angle in steps[k + 1 :])
+    return steps[:k] + (("CX", 1 - w, None), ("CX", w, None)) + tail
 
 
 def _cost(kind: str, native: str) -> int:
@@ -699,7 +944,7 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
         nxt = gates[i + 1] if i + 1 < len(gates) else g
         ops = (g.target, g.control)
         fuse = (g.kind == "SWAP") != (nxt.kind == "SWAP") and (
-            {g.target, g.control} == {nxt.target, nxt.control}
+            (g.target, g.control) in ((nxt.target, nxt.control), (nxt.control, nxt.target))
         )
         if fuse and g.kind == "SWAP":
             g, ops = nxt, (nxt.control, nxt.target)
@@ -812,7 +1057,8 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 #
 # ``model_cx`` and ``model_swaps`` are derived: the abstract counts of
 # ``expected_counts`` times the per-kind costs of ``LOWERING``, and on a line
-# the swaps of the stage-walk network (see ``_walk``) with the CX each costs.
+# the network of the parity walk (see ``_walk_half``), or for ldd of the
+# swap walk (see ``_walk``), with the CX each of its gates costs.
 # ``model_sx`` also takes away the SX of the runs that merge.  The built
 # circuits (generic payload) meet them exactly on every width.
 # ``model_depth`` is reference data: fully-connected depth for the two MCU
@@ -846,18 +1092,39 @@ def _lowered_count(method: str, n: int, native: str) -> int:
     return sum(c * _cost(kind, native) for kind, c in expected_counts(method, n).items())
 
 
-def model_swaps(method: str, n: int) -> int:
-    """SWAPs the stage walk inserts (n >= 3).  Each half of a block on k
-    wirelines has stages k..3, and stage t passes its t-1 lower wirelines:
-    k(k-1)/2 - 1 swaps a half.  The +1 block spans n wirelines; the -1 block
-    n for mcu-zyz and n-1 for the others."""
+def _walked_blocks(method: str, n: int) -> list[tuple[int, int, int]]:
+    """Each block the parity walk routes: its width k, its last QFT stage s
+    and the SWAPs between its halves (one after a CX(1, 2), see
+    ``_parity_walk``).  The +1 block spans n wirelines, the -1 block n for
+    mcu-zyz and n-1 for the others."""
     minus = n if method == "mcu-zyz" else n - 1
-    return sum(k * (k - 1) - 2 for k in (n, minus))
+    if method == "mcx-qft":
+        return [(k, 2, 0) for k in (n, minus)]
+    return [(k, 3, 1) for k in (n, minus)]
+
+
+def model_swaps(method: str, n: int) -> int:
+    """SWAPs the router inserts (n >= 4).
+
+    ldd takes the swap walk: each half of a block on k wirelines has stages
+    k..3, and stage t passes its t-1 lower wirelines: k(k-1)/2 - 1 swaps a
+    half.  The other methods take the parity walk: stage t >= 3 steps past
+    its t-1 lower wirelines, and stage 2 passes nothing, so a half steps
+    k(k-1)/2 - 1 times; each step is a CX and a SWAP, but for the step that
+    holds the next stage's CX (one per stage but the last: k - s), which is
+    three CX.  The SWAPs between the halves come on top.
+    """
+    if method == "ldd":
+        return sum(k * (k - 1) - 2 for k in (n, n - 1))
+    return sum(
+        2 * (k * (k - 1) // 2 - 1 - (k - last)) + seam for k, last, seam in _walked_blocks(method, n)
+    )
 
 
 def model_cx(method: str, n: int, arch: str = "fc") -> int:
-    m = _lowered_count(method, n, "CX")
-    if arch == "lnn":
+    if arch == "fc":
+        return _lowered_count(method, n, "CX")
+    if method == "ldd":
         # Every controlled gate passes its control, and lowers with that SWAP,
         # except the two of stage 2 (one per block); the other swaps are bare.
         # A build holds no SWAP, so its two-qubit gates are the controlled ones.
@@ -865,7 +1132,20 @@ def model_cx(method: str, n: int, arch: str = "fc") -> int:
         fused = sum(c for kind, c in counts.items() if kind in TWO_QUBIT) - 2
         bare = model_swaps(method, n) - fused
         fused_cx = sum(step[0] == "CX" for step in _then_swap(LOWERING["CP"]((1.0,))))
-        m += fused * (fused_cx - _cost("CP", "CX")) + bare * _cost("SWAP", "CX")
+        return (
+            _lowered_count(method, n, "CX")
+            + fused * (fused_cx - _cost("CP", "CX"))
+            + bare * _cost("SWAP", "CX")
+        )
+    # The parity walk: per half, k - 2 CX into difference form and one CX
+    # per stage but the first; every step lowers to 2 CX; stage 2 keeps its
+    # one CP from wireline 1 (in one half of a block); the seam SWAPs.
+    step = sum(s[0] == "CX" for s in _then_swap(LOWERING["CX"](())))
+    m = 0
+    for k, last, seam in _walked_blocks(method, n):
+        steps = k * (k - 1) // 2 - 1
+        m += 2 * (steps * step + (k - 2 + k - last) * _cost("CX", "CX"))
+        m += seam * _cost("SWAP", "CX") + (last == 2) * _cost("CP", "CX")
     return m
 
 

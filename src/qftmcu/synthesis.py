@@ -318,14 +318,22 @@ def apply_aqft(circ: Circuit, m_max: int) -> Circuit:
     """Drop controlled rotations whose root index exceeds ``m_max``.
 
     Applies to CP, CRx and CU2 gates, by their ``root_m`` annotation, which
-    every builder and pass sets; a gate without one is kept.  A routed
-    circuit's ``final_layout`` carries over.
+    every builder and pass sets; a gate without one is kept.  On a routed
+    circuit it also drops the P gates of a QFT half (role ``qft`` or
+    ``iqft``) by the same annotation: the router writes each CP and root
+    there as P gates on its phase terms, each with the gate's ``root_m``.
+    Column and ladder P gates stay.  A routed circuit's ``final_layout``
+    carries over.
     """
     if not 1 <= m_max <= circ.n:
         raise ValueError(f"m_max must lie in [1, {circ.n}]")
     return Circuit(circ.n, [
         g for g in circ.gates
-        if not (g.kind in CONTROLLED_ROTATIONS and g.root_m is not None and g.root_m > m_max)
+        if not (
+            (g.kind in CONTROLLED_ROTATIONS or (g.kind == "P" and g.role in ("qft", "iqft")))
+            and g.root_m is not None
+            and g.root_m > m_max
+        )
     ], final_layout=circ.final_layout)
 
 

@@ -30,7 +30,17 @@ from qftmcu.circuit import (
     u2,
     x,
 )
-from qftmcu.gate_algebra import gate_unitary_1q, root, u2_mat, zyz_decompose
+from qftmcu.gate_algebra import (
+    H,
+    S,
+    X,
+    Z,
+    gate_unitary_1q,
+    random_unitary,
+    root,
+    u2_mat,
+    zyz_decompose,
+)
 from qftmcu.layout import (
     ARCHES,
     LOWERING,
@@ -114,6 +124,49 @@ def test_walk_passes_every_lower_wireline(dropped):
     assert len(pairs) == (14 if dropped is None else 10)
 
 
+def _step_network(gates):
+    return [(g.kind, g.target, g.control) for g in gates if g.kind != "P"]
+
+
+@pytest.mark.parametrize("dropped", [None, 1])
+def test_parity_walk_passes_every_lower_wireline(dropped):
+    # Stage t >= 3 steps past all t-1 lower wirelines, with or without a CP
+    # from each (here every CP from wireline 1 is missing, as the merge
+    # removes some): the CX and SWAP network is the same either way, and
+    # each CP is three P gates.  A half on 6 wirelines with stages 6..3
+    # ends with wirelines 2 and 1 on top in difference form and each target
+    # below them holding its value XOR wireline 1's (bit w is wireline w's
+    # value, bit 6 + t the value stage t's H left).
+    stages = [g for g in build_qft(6).gates if g.target > 2]
+    gates = [g for g in stages if g.control is None or g.control != dropped]
+    out, par = layout._walk_half(layout._stages(gates), 6, None, after=False)
+    full, _ = layout._walk_half(layout._stages(stages), 6, None, after=False)
+    assert _step_network(out) == _step_network(full)
+    x, y = (lambda w: 1 << w), (lambda t: 1 << (6 + t))
+    assert par[1:] == [y(6) | x(1), y(5) | x(1), y(4) | x(1), y(3) | x(1), x(1) | x(2), x(2)]
+    assert sum(g.kind == "P" for g in out) == 3 * sum(g.kind == "CP" for g in gates)
+    assert all(g.control is None or abs(g.control - g.target) == 1 for g in out)
+    # 4 CX into difference form, 2 CX per step (5 + 4 + 3 + 2 steps), and one
+    # CX per stage but the first; the step that holds that CX has no SWAP.
+    assert _swaps(out) == 5 + 4 + 3 + 2 - 3
+    assert lower_to_ngs(Circuit(6, out)).counts()["CX"] == 4 + 2 * 14 + 3
+
+
+@pytest.mark.parametrize("method", ["mcx-qft", "mcu-mod", "mcu-zyz"])
+def test_parity_walk_writes_each_rotation_above_stage_2_as_phases(method, u_gen):
+    # No CP or root is left in the routed build but stage 2's CP from
+    # wireline 1, one per mcx-qft block, which acts in place; every other
+    # one is three P gates.
+    circ = build(SynthConfig(method, 7, None if method == "mcx-qft" else u_gen))
+    routed = route_lnn(circ)
+    in_place = 2 if method == "mcx-qft" else 0
+    assert sum(g.kind == "CP" for g in routed.gates) == in_place
+    assert not any(g.kind == "CU2" for g in routed.gates)
+    rotations = sum(g.kind in ("CP", "CU2") for g in circ.gates) - in_place
+    added = sum(g.kind == "P" for g in routed.gates) - sum(g.kind == "P" for g in circ.gates)
+    assert added == 3 * rotations
+
+
 def test_route_enters_a_lone_inverse_qft_through_swaps():
     # An inverse QFT with no forward half before it starts at the identity,
     # not where its mirror starts: neighbour swaps bring the row there, and
@@ -153,17 +206,26 @@ def test_route_preserves_logical_unitary(method, n, u_gen):
     "method, n, m", [("mcx-qft", 8, 2), ("mcu-mod", 7, 3), ("mcu-zyz", 6, 2), ("ldd", 7, 3)]
 )
 def test_aqft_truncates_a_routed_circuit_as_its_source(method, n, m, u_gen):
-    # The router emits each rotation as it is, so AQFT drops the same ones
-    # after routing as before.
+    # The swap walk (ldd) emits each rotation as it is, so AQFT drops the
+    # same ones after routing as before.  The parity walk writes each CP and
+    # root as three P gates on its phase terms, with its root index, so AQFT
+    # drops three P gates for each rotation it drops from the source.
     circ = build(SynthConfig(method, n, None if method == "mcx-qft" else u_gen))
-    routed, kept = apply_aqft(route_lnn(circ), m), apply_aqft(circ, m)
+    full, kept = route_lnn(circ), apply_aqft(circ, m)
+    routed = apply_aqft(full, m)
     want = layout_permutation(routed.final_layout) @ circuit_unitary(kept)
     assert np.abs(circuit_unitary(routed) - want).max() < 1e-12
 
     def rotations(c):
         return sum(g.kind in CONTROLLED_ROTATIONS for g in c.gates)
 
-    assert rotations(routed) == rotations(kept) < rotations(circ)
+    def phases(c):
+        return sum(g.kind == "P" for g in c.gates)
+
+    if method == "ldd":
+        assert rotations(routed) == rotations(kept) < rotations(circ)
+    else:
+        assert 0 < phases(full) - phases(routed) == 3 * (rotations(circ) - rotations(kept))
 
 
 def _unannotated(circ):
@@ -171,10 +233,10 @@ def _unannotated(circ):
 
 
 def test_route_swap_counts_are_reported_not_forced(u_gen):
-    # The count is what the router did.  An annotated build takes the stage
+    # The count is what the router did.  An annotated build takes the parity
     # walk, which model_swaps is derived from; the same gates stripped of
     # their annotations take the greedy branch, whose count nothing models:
-    # 26 at n=5, under the walk's 28, and 56 at n=6, over its 46.
+    # 26 at n=5, over the walk's 24, and 56 at n=6, over its 38.
     for n, greedy in ((5, 26), (6, 56)):
         circ = build(SynthConfig("mcu-mod", n, u=u_gen))
         assert _swaps(route_lnn(circ).gates) == model_swaps("mcu-mod", n)
@@ -223,6 +285,39 @@ def test_gate_beside_a_swap_of_its_pair_lowers_with_one_cx_more(kind, swap_first
         pair = [swap(1, 2), g] if swap_first else [g, swap(1, 2)]
         nc = _native_matches_source(Circuit(2, pair))
         assert nc.counts()["CX"] == lower_to_ngs(Circuit(2, [g])).counts()["CX"] + 1
+
+
+def _template_unitary(steps):
+    """The 4x4 of a lowering template with _T on wireline 2 and _C on 1,
+    times its phase ("frame" steps emit nothing)."""
+    ops = {layout._T: 2, layout._C: 1}
+    gates, phase = [], 0.0
+    for kind, w, angle in steps:
+        if kind == "phase":
+            phase += angle
+        elif kind == "CX":
+            gates.append(cx(ops[w], ops[1 - w]))
+        elif kind == "Rz":
+            gates.append(rz(angle, ops[w]))
+        elif kind in ("SX", "X"):
+            gates.append(Gate(kind, ops[w]))
+    return circuit_unitary(Circuit(2, gates)) * np.exp(1j * phase)
+
+
+@pytest.mark.parametrize("exchanged", [False, True], ids=["as-is", "operands-exchanged"])
+@pytest.mark.parametrize("kind", CONTROLLED)
+def test_then_swap_reads_the_last_cx_orientation(kind, exchanged, u_gen):
+    # _then_swap of a template equals the gate then a SWAP, whichever
+    # operand controls the template's last CX: exchanging every operand of
+    # a template gives the template of the gate with its operands exchanged.
+    template = LOWERING[kind](_controlled(kind, 1, 2, u_gen).params)
+    if exchanged:
+        template = tuple((k, w if w is None else 1 - w, a) for k, w, a in template)
+    c, t = (2, 1) if exchanged else (1, 2)
+    gate = circuit_unitary(Circuit(2, [_controlled(kind, c, t, u_gen)]))
+    assert np.abs(_template_unitary(template) - gate).max() < 1e-12
+    want = circuit_unitary(Circuit(2, [swap(1, 2)])) @ gate
+    assert np.abs(_template_unitary(layout._then_swap(template)) - want).max() < 1e-12
 
 
 def _cx_order(gates):
@@ -480,6 +575,21 @@ def test_pipeline_matches_oracle(method, arch, u_gen):
     assert abs(res.global_phase) < 1e-9
 
 
+def test_lnn_natives_are_exact_on_random_and_degenerate_payloads():
+    # Routed and lowered, each MCU cell verifies against the oracle with a
+    # residual phase under 1e-9: random payloads up to n = 10, the payloads
+    # I, -I, Z, X, S and H up to n = 7, and mcx-qft up to n = 9.
+    rng = np.random.default_rng(20)
+    named = [np.eye(2), -np.eye(2), Z, X, S, H]
+    cells = [(m, n, random_unitary(rng)) for m in ("mcu-mod", "mcu-zyz") for n in range(4, 11)]
+    cells += [(m, n, u) for m in ("mcu-mod", "mcu-zyz") for n in range(4, 8) for u in named]
+    cells += [("mcx-qft", n, X) for n in range(4, 10)]
+    for method, n, u in cells:
+        nc = synth_native(SynthConfig(method, n, None if method == "mcx-qft" else u), "lnn")
+        res = verify_mcu(nc, u)
+        assert res.ok and abs(res.global_phase) <= 1e-9, (method, n, res.max_deviation)
+
+
 def test_pipeline_rejects_unknown_arch(u_gen):
     with pytest.raises(ValueError):
         synth_native(SynthConfig("mcu-mod", 4, u=u_gen), arch="ring")
@@ -489,7 +599,7 @@ def test_pipeline_stamps_provenance(u_gen):
     nc = synth_native(SynthConfig("mcu-mod", 5, u=u_gen), arch="lnn")
     assert (nc.method, nc.n, nc.arch) == ("mcu-mod", 5, "lnn")
     assert nc.abstract_slots == 22
-    assert nc.swaps_inserted == 28
+    assert nc.swaps_inserted == 24
 
 
 # -- a native circuit is a Circuit ---------------------------------------------------
@@ -521,7 +631,7 @@ def test_model_values_at_n5():
     assert model_depth("mcu-zyz", 5) == 116
     assert model_cx("mcu-zyz", 5) == 62
     assert model_sx("mcu-mod", 5) == 12
-    assert model_swaps("mcu-zyz", 5) == 36
+    assert model_swaps("mcu-zyz", 5) == 30
 
 
 def test_model_lnn_additive_terms():
@@ -536,10 +646,8 @@ LNN_WIDTHS = range(4, 33)
 
 @pytest.fixture(scope="module")
 def lnn_builds(u_gen):
-    """Every MCU method routed to a line and lowered, n = 4..32, and mcx-qft
-    up to n = 12."""
-    cells = [(m, n) for m in ("mcu-mod", "mcu-zyz", "ldd") for n in LNN_WIDTHS]
-    cells += [("mcx-qft", n) for n in range(4, 13)]
+    """Every method routed to a line and lowered, n = 4..32."""
+    cells = [(m, n) for m in METHODS for n in LNN_WIDTHS]
     return {
         (m, n): synth_native(SynthConfig(m, n, None if m == "mcx-qft" else u_gen), "lnn")
         for m, n in cells
@@ -547,8 +655,9 @@ def lnn_builds(u_gen):
 
 
 def test_model_cx_lnn_matches_built_circuit(lnn_builds):
-    # The swap and CX models are derived from the stage-walk network; the
-    # built circuits meet them exactly, and every build ends at the identity.
+    # The swap and CX models are derived from the parity-walk network (the
+    # swap walk for ldd); the built circuits meet them exactly, and every
+    # build ends at the identity.
     for (method, n), nc in lnn_builds.items():
         assert nc.swaps_inserted == model_swaps(method, n), f"{method} n={n}"
         assert nc.counts()["CX"] == model_cx(method, n, "lnn"), f"{method} n={n}"

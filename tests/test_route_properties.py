@@ -1,10 +1,11 @@
 """Property tests for ``route_lnn`` on random circuits and annotated builds.
 
-Unannotated circuits take the greedy branch, annotated builds the stage
-walk.  Either way every two-qubit gate of the routed circuit acts on
-neighbouring wirelines, and the routed unitary is exactly the layout
-permutation after the original one.  The examples are derandomized, so
-every run checks the same draws.  ``unannotated_circuits``,
+Unannotated circuits take the greedy branch, annotated builds the parity
+walk (the swap walk for ldd and for halves it does not take), and random
+QFT-like blocks the parity walk.  Either way every two-qubit gate of the
+routed circuit acts on neighbouring wirelines, and the routed unitary is
+exactly the layout permutation after the original one.  The examples are
+derandomized, so every run checks the same draws.  ``unannotated_circuits``,
 ``annotated_builds`` and ``SETTINGS`` are shared with the pass, lowering and
 JSON properties in ``test_pass_properties.py``.
 """
@@ -13,8 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qftmcu.circuit import Circuit, Gate, swap
-from qftmcu.gate_algebra import I2, Z, p_mat, u2_mat
+from qftmcu.circuit import Circuit, Gate, cp, cu2, cx, h, swap, x
+from qftmcu.gate_algebra import I2, Z, p_mat, root, u2_mat, zyz_decompose
 from qftmcu.layout import layout_permutation, lower_to_ngs, route_lnn
 from qftmcu.synthesis import METHODS, SynthConfig, build
 from qftmcu.verifier import circuit_unitary
@@ -108,3 +109,53 @@ def test_greedy_branch_is_adjacent_and_exact(circ):
 def test_stage_walk_is_adjacent_exact_and_ends_at_identity(circ):
     assert any(g.role in ("qft", "iqft") for g in circ.gates)
     assert _check_routed(circ).final_layout == tuple(range(1, circ.n + 1))
+
+
+@st.composite
+def qft_blocks(draw):
+    """One block on 3-7 wirelines shaped like the builders': a qft half with
+    stages k..s, each an H and CP gates from the wirelines below its target
+    (the top one maybe a ladder of roots of one payload instead), a seam
+    (nothing, a CX(1, 2) or an X on wireline 1) and an iqft half with the
+    same stages in reverse.  Each half drops CPs and roots at random and
+    draws its own angles."""
+    k = draw(st.integers(3, 7))
+    seam = draw(st.sampled_from(("none", "cx", "x")))
+    last = 3 if seam == "cx" else draw(st.sampled_from((2, 3)))
+    payload = _payload(draw) if draw(st.booleans()) else None
+    tag = {"block": "+1"}
+
+    def half(role):
+        stages = []
+        for t in range(k, last - 1, -1):
+            controls = [c for c in range(t - 1, 0, -1) if draw(st.booleans())]
+            if t == k and payload is not None:
+                controls = controls or [t - 1]  # a ladder with no root is no stage
+                roots = [root(payload, draw(st.integers(1, 6))) for _ in controls]
+                if role == "iqft":
+                    roots = [r.conj().T for r in roots]
+                stage = [cu2(zyz_decompose(r), c, t, role=role, **tag) for c, r in zip(controls, roots)]
+            else:
+                stage = [h(t, role=role, **tag)]
+                stage += [cp(draw(ANGLES), c, t, role=role, root_m=t - c + 1, **tag) for c in controls]
+            stages.append(stage)
+        if role == "qft":
+            return [g for stage in stages for g in stage]
+        return [g for stage in reversed(stages) for g in reversed(stage)]
+
+    middle = {"none": [], "cx": [cx(1, 2, role="qft", **tag)], "x": [x(1, role="column", **tag)]}
+    return Circuit(k, half("qft") + middle[seam] + half("iqft"))
+
+
+@SETTINGS
+@given(qft_blocks())
+def test_parity_walk_is_adjacent_exact_and_ends_at_identity(circ):
+    routed = route_lnn(circ)
+    # The parity walk took the block: only stage 2's CPs are left as they are.
+    kept = sum(g.kind in ("CP", "CU2") and g.target == 2 for g in circ.gates)
+    assert sum(g.kind in ("CP", "CU2") for g in routed.gates) == kept
+    nc = lower_to_ngs(routed)
+    assert all(g.control is None or abs(g.control - g.target) == 1 for g in nc.gates)
+    assert nc.final_layout == tuple(range(1, circ.n + 1))
+    got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
+    assert np.abs(got - circuit_unitary(circ)).max() < 1e-12
