@@ -1,5 +1,5 @@
-"""Single-qubit gate algebra: matrices, ZYZ/ABC decompositions, principal
-roots, and the random payload protocol.
+"""Single-qubit gate algebra: matrices, ZYZ/ABC decompositions, closed-form
+principal roots, and the random payload protocol.
 
 Conventions (used consistently across the package):
 
@@ -7,16 +7,16 @@ Conventions (used consistently across the package):
     Ry(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
     U2(d, a, t, b) = e^{id} Rz(a) Ry(t) Rz(b)
 
-The ZYZ angle ranges are t in [0, pi] and d in (-pi, pi].  For diagonal
-input the decomposition puts everything in alpha (t = 0, b = 0); for
-antidiagonal input t = pi and alpha = 0.
+The ZYZ angle ranges are t in [0, pi] and d in (-pi/2, pi/2].  For exactly
+diagonal input the decomposition puts everything in alpha (t = 0, b = 0); for
+exactly antidiagonal input t = pi and alpha = 0.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .linalg import eig2
+import numpy as np
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -78,6 +78,10 @@ def zyz_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     V = e^{-id} u is special unitary with
         V = [[cos(t/2) e^{-i(a+b)/2}, -sin(t/2) e^{-i(a-b)/2}],
              [sin(t/2) e^{+i(a-b)/2},  cos(t/2) e^{+i(a+b)/2}]]
+
+    a and b are read off the angles of V's second row.  Only an exact 0
+    there has no angle (V diagonal or antidiagonal), so a rotation by 1e-14
+    about a tilted axis stays tilted.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -87,11 +91,11 @@ def zyz_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     c_mag = abs(v[0, 0])
     s_mag = abs(v[1, 0])
     t = float(2.0 * np.arctan2(s_mag, c_mag))
-    if s_mag < 1e-14:
+    if s_mag == 0.0:
         # diagonal: fold all z-rotation into alpha
         a = float(2.0 * np.angle(v[1, 1]))
         b = 0.0
-    elif c_mag < 1e-14:
+    elif c_mag == 0.0:
         # antidiagonal: alpha = 0 by convention
         a = 0.0
         b = float(-2.0 * np.angle(v[1, 0]))
@@ -110,21 +114,57 @@ def abc_split(a: float, t: float, b: float) -> tuple[tuple[float, ...], ...]:
     return (0.0, a, t / 2, 0.0), (0.0, 0.0, -t / 2, -(a + b) / 2), (0.0, 0.0, 0.0, (b - a) / 2)
 
 
-def root(u: np.ndarray, m: int) -> np.ndarray:
-    """Principal 2^{m-1}-th root: eigenphases on (-pi, pi] divided by 2^{m-1}.
+def su2_axis(a: float, t: float, b: float) -> tuple[float, float, float, float]:
+    """(w, x, y, z) with Rz(a) Ry(t) Rz(b) = w I - i (x X + y Y + z Z).
 
-    root(u, 1) is u itself; root(u, m) ** (2^{m-1}) recovers u.  For special
-    unitaries the family telescopes exactly: root(V, m) @ root(V, m) equals
-    root(V, m-1).
+    For a rotation by psi about the unit axis n, w = cos(psi/2) and
+    (x, y, z) = sin(psi/2) n.  Read off the angles, not off the matrix,
+    whose off-diagonal loses a rotation near the identity to rounding.
+    """
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return (
+        c * math.cos((a + b) / 2), -s * math.sin((a - b) / 2),
+        s * math.cos((a - b) / 2), c * math.sin((a + b) / 2),
+    )
+
+
+def root_params(params: tuple[float, ...], m: int) -> tuple[float, float, float, float]:
+    """ZYZ angles of the principal 2^{m-1}-th root of u2_mat(*params).
+
+    u = e^{id} exp(-i psi n.sigma/2) has the eigenphases d -+ psi/2 on +-n.
+    Each is taken on (-pi, pi], a value within 1e-12 of -pi folding to +pi
+    (so roots of Z and -I take the S / T side of the cut), and divided by
+    2^{m-1}; the root is the rotation about the same axis n with those
+    eigenphases.  So every root of one payload is diagonal in the payload's
+    eigenframe at any m, and the square of root m is root m - 1.
     """
     if m < 1:
         raise ValueError("root index m must be >= 1")
-    u = np.asarray(u, dtype=complex)
-    if m == 1:
-        return u.copy()
-    phases, vecs = eig2(u)
-    scaled = np.exp(1j * phases / (1 << (m - 1)))
-    return vecs @ np.diag(scaled) @ vecs.conj().T
+    d, a, t, b = params
+    w, x, y, z = su2_axis(a, t, b)
+    r = math.hypot(x, y, z)
+    half = math.atan2(r, w)
+    lo, hi = (math.remainder(d + side * half, 2 * math.pi) for side in (-1, 1))
+    lo, hi = ((p if p > -math.pi + 1e-12 else math.pi) / (1 << (m - 1)) for p in (lo, hi))
+    # the root is e^{i(lo + hi)/2} exp(-i (hi - lo) n.sigma/2); its ZYZ
+    # angles are read off (qw, q) as zyz_decompose reads a matrix
+    k = math.sin((hi - lo) / 2) / r if r else 0.0
+    qw, qx, qy, qz = math.cos((hi - lo) / 2), k * x, k * y, k * z
+    spin = math.atan2(qz, qw)
+    if qx == 0.0 and qy == 0.0:
+        return (lo + hi) / 2, 2 * spin, 0.0, 0.0
+    tilt, t = math.atan2(-qx, qy), 2 * math.atan2(math.hypot(qx, qy), math.hypot(qw, qz))
+    return (lo + hi) / 2, spin + tilt, t, spin - tilt
+
+
+def root(u: np.ndarray, m: int) -> np.ndarray:
+    """Principal 2^{m-1}-th root: eigenphases on (-pi, pi] divided by 2^{m-1}
+    (see :func:`root_params`).
+
+    root(u, 1) is u itself; root(u, m) ** (2^{m-1}) recovers u, and
+    root(u, m) @ root(u, m) equals root(u, m-1).
+    """
+    return u2_mat(*root_params(zyz_decompose(u), m))
 
 
 # -- random unitary protocol --------------------------------------------------

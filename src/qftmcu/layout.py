@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import TWO_QUBIT, Circuit, Gate, normalize_angle, rz, schedule_slots, swap
-from .gate_algebra import abc_split
+from .gate_algebra import abc_split, su2_axis
 from .optimizer import cancel_cx_pairs
 from .synthesis import build, expected_counts
 
@@ -349,7 +349,9 @@ def route_lnn(circ: Circuit) -> Circuit:
     (:func:`_parity_walk`): each CP and root above stage 2 becomes its phase
     terms as P gates (with its annotations) between CX and SWAP gates, and
     a ladder's roots share one frame.  Other halves (CRx stages, a half
-    without its partner) are routed by the swap walk (:func:`_walk`): a
+    without its partner, and every half of an ``optimize=False`` build,
+    whose halves end on an H on wireline 1 and whose column P gates sit
+    between the halves) are routed by the swap walk (:func:`_walk`): a
     ``qft`` half walks forward from the current layout; an ``iqft`` half is
     the mirror of its reversed gate list walked from the identity, entered,
     if needed, through neighbour swaps to the layout its mirror starts
@@ -524,14 +526,12 @@ def _eigenframe(a: float, t: float, b: float) -> tuple:
     """W = Rz(phi) Ry(theta), as (phi, theta), with W-dagger Rz(a) Ry(t) Rz(b) W
     diagonal: W turns the z axis onto the payload's rotation axis.
 
-    The axis is read off the angles, not off the matrix, so it keeps full
-    relative precision for a rotation near the identity (a deep root).  Of
-    the axis and its opposite, the one with z >= 0 is taken, so theta lies
-    in [0, pi/2] and a diagonal payload gets W = I.
+    The axis is read off the angles (``su2_axis``), not off the matrix, so
+    a rotation near the identity (a deep root) keeps it.  Of the axis and
+    its opposite, the one with z >= 0 is taken, so theta lies in [0, pi/2]
+    and a diagonal payload gets W = I.
     """
-    s = math.sin(t / 2)
-    x, y = -s * math.sin((a - b) / 2), s * math.cos((a - b) / 2)
-    z = math.cos(t / 2) * math.sin((a + b) / 2)
+    _, x, y, z = su2_axis(a, t, b)
     if x == 0.0 and y == 0.0:
         return (0.0, 0.0)
     if z < 0:
@@ -555,8 +555,9 @@ def _cu2_steps(q: tuple, frame: tuple | None = None) -> tuple:
     root and the W-dagger of the next multiply to the identity on the target,
     and ``lower_to_ngs`` merges them away.  ``frame`` is the W the last CU2
     left on this target; it is kept when it diagonalizes V, since a root near
-    the identity has a nearly degenerate spectrum and its own axis drifts in
-    the last digits from the payload's.  Otherwise W is V's ``_eigenframe``.
+    the identity has its ZYZ a + b only to about 1e-16 absolute, so the axis
+    read off its own angles drifts from the payload's.  Otherwise W is V's
+    ``_eigenframe``.
     """
     v = _u2_matrix(*q)
     w, lam = _in_frame(frame, v) if frame is not None else (None, None)

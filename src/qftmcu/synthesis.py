@@ -39,7 +39,7 @@ from .circuit import (
     p,
     u2,
 )
-from .gate_algebra import abc_split, root, u2_mat, zyz_decompose
+from .gate_algebra import abc_split, root_params, u2_mat, zyz_decompose
 from .linalg import is_unitary
 from .optimizer import cancel_x_pair, collapse_cx, merge_phase_columns
 
@@ -179,20 +179,17 @@ def _build_mcu_mod(cfg: SynthConfig) -> Circuit:
     inverse QFT leaves exactly u applied when all controls are 1.  The
     decrement half is a plain register decrement on the controls.
 
-    The determinant phase d of u rides inside the conditioned roots: the
-    root of index m carries e^(i d/2**(m-1)), so the result is exact with no
-    phase ladder.
+    The determinant phase of u rides inside the conditioned roots: the root
+    of index m is the principal 2**(m-1)-th root of u, phase and all, so the
+    result is exact with no phase ladder.  The roots are taken in closed
+    form, so all of them are diagonal in u's eigenframe.
     """
     n = cfg.n
-    d, a, t, b = zyz_decompose(cfg.u)
+    q = zyz_decompose(cfg.u)
     if n == 2:
-        return Circuit(2, [cu2((d, a, t, b), 1, 2, block=BLOCK_PLUS, role="qft", root_m=1)])
+        return Circuit(2, [cu2(q, 1, 2, block=BLOCK_PLUS, role="qft", root_m=1)])
 
-    v = u2_mat(0.0, a, t, b)
-    params = {}
-    for m in range(2, n + 1):
-        w = root(v, m) * np.exp(1j * d / 2 ** (m - 1))
-        params[m] = zyz_decompose(w)
+    params = {m: root_params(q, m) for m in range(2, n + 1)}
 
     head = [
         cu2(params[n - i + 1], i, n, block=BLOCK_PLUS, role="qft", root_m=n - i + 1)

@@ -1,6 +1,7 @@
 """Single-qubit algebra: ZYZ, ABC, matrix roots, and the identity battery."""
 
 import numpy as np
+import pytest
 
 from qftmcu.gate_algebra import (
     abc_split,
@@ -8,14 +9,17 @@ from qftmcu.gate_algebra import (
     p_mat,
     random_unitary,
     root,
+    root_params,
     rx_mat,
     ry_mat,
     rz_mat,
+    su2_axis,
     u2_mat,
     zyz_decompose,
 )
 from qftmcu.linalg import equal_up_to_global_phase, is_unitary
 from qftmcu.verifier import mcu_oracle
+from tests.conftest import generic_u
 from tests.oracles import controlled, identity_battery
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,6 +84,24 @@ def test_zyz_random_reconstruction():
     assert worst < 1e-12
 
 
+def _unit_axis(params):
+    _, x, y, z = su2_axis(*params[1:])
+    return np.array([x, y, z]) / np.linalg.norm([x, y, z])
+
+
+def test_zyz_keeps_the_axis_of_a_tiny_rotation():
+    # A rotation by 1e-14 about a tilted axis: its off-diagonal is tiny but
+    # not 0, and its angle still carries the axis.  The angles hold a + b to
+    # about 1e-16 absolute, so the axis keeps two or three digits; taking
+    # the matrix as diagonal would put it on z, 0.6 away.
+    n = np.array([np.sin(0.7) * np.cos(1.3), np.sin(0.7) * np.sin(1.3), np.cos(0.7)])
+    c, s = np.cos(0.5e-14), np.sin(0.5e-14)
+    u = c * I2 - 1j * s * (n[0] * X + n[1] * np.array([[0, -1j], [1j, 0]]) + n[2] * Z)
+    params = zyz_decompose(u)
+    assert 0 < params[2] < 1e-13
+    assert np.abs(_unit_axis(params) - n).max() < 1e-2
+
+
 # -- ABC ------------------------------------------------------------------------
 
 def _abc(u):
@@ -137,6 +159,24 @@ def test_root_powering():
         u = _haar(rng)
         r = root(u, 5)
         assert np.abs(np.linalg.matrix_power(r, 16) - u).max() < 1e-11
+
+
+@pytest.mark.parametrize("scalar, phase", [(-1.0, np.pi), (1.0, 0.0)])
+@pytest.mark.parametrize("m", [2, 3, 5, 47])
+def test_root_of_a_scalar_takes_the_principal_branch(scalar, phase, m):
+    # -1 is e^(i pi), on the S / T side of the cut.
+    want = np.exp(1j * phase / 2 ** (m - 1)) * I2
+    assert np.abs(root(scalar * I2, m) - want).max() < 1e-15
+
+
+def test_deep_roots_are_diagonal_in_the_payload_frame():
+    # The root is built about the payload's own axis, so the payload's
+    # eigenframe W diagonalizes it to rounding, however close to I it is.
+    for u in [generic_u(s) for s in range(6)] + [random_unitary(np.random.default_rng(1001))]:
+        x, y, z = _unit_axis(zyz_decompose(u))
+        w = u2_mat(0.0, np.arctan2(y, x), np.arctan2(np.hypot(x, y), z), 0.0)
+        lam = w.conj().T @ u2_mat(*root_params(zyz_decompose(u), 47)) @ w
+        assert max(abs(lam[0, 1]), abs(lam[1, 0])) <= 1e-15
 
 
 def test_root_m1_is_identity_map():

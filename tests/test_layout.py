@@ -69,6 +69,7 @@ from qftmcu.synthesis import (
     expected_counts,
 )
 from qftmcu.verifier import circuit_unitary, verify_mcu
+from tests.conftest import generic_u
 
 
 def _native_matches_source(circ, tol=1e-12):
@@ -152,12 +153,19 @@ def test_parity_walk_passes_every_lower_wireline(dropped):
     assert lower_to_ngs(Circuit(6, out)).counts()["CX"] == 4 + 2 * 14 + 3
 
 
-@pytest.mark.parametrize("method", ["mcx-qft", "mcu-mod", "mcu-zyz"])
-def test_parity_walk_writes_each_rotation_above_stage_2_as_phases(method, u_gen):
+@pytest.mark.parametrize("method, n, seed", [
+    pytest.param("mcx-qft", 7, 0, id="mcx-qft"),
+    pytest.param("mcu-mod", 7, 0, id="mcu-mod"),
+    pytest.param("mcu-zyz", 7, 0, id="mcu-zyz"),
+    pytest.param("mcu-mod", 48, 5, id="mcu-mod-n48-u5"),
+])
+def test_parity_walk_writes_each_rotation_above_stage_2_as_phases(method, n, seed):
     # No CP or root is left in the routed build but stage 2's CP from
     # wireline 1, one per mcx-qft block, which acts in place; every other
-    # one is three P gates.
-    circ = build(SynthConfig(method, 7, None if method == "mcx-qft" else u_gen))
+    # one is three P gates.  A block the walk refuses falls back to the swap
+    # walk and keeps its roots as CU2: at n = 48 the deepest roots are about
+    # 1e-14 from I, and they must still share their ladder's frame.
+    circ = build(SynthConfig(method, n, None if method == "mcx-qft" else generic_u(seed)))
     routed = route_lnn(circ)
     in_place = 2 if method == "mcx-qft" else 0
     assert sum(g.kind == "CP" for g in routed.gates) == in_place
@@ -654,11 +662,25 @@ def lnn_builds(u_gen):
     }
 
 
-def test_model_cx_lnn_matches_built_circuit(lnn_builds):
+#: wide root ladders: mcu-mod's deepest roots there lie within 1e-14 of I
+WIDE_LADDERS = [(n, seed) for n in (48, 64) for seed in (2, 5)]
+
+
+@pytest.fixture(scope="module")
+def wide_ladders():
+    """mcu-mod on both targets at n = 48 and 64, payloads generic_u(2) and (5)."""
+    return {
+        (arch, n, seed): synth_native(SynthConfig("mcu-mod", n, generic_u(seed)), arch)
+        for arch in ARCHES for n, seed in WIDE_LADDERS
+    }
+
+
+def test_model_cx_lnn_matches_built_circuit(lnn_builds, wide_ladders):
     # The swap and CX models are derived from the parity-walk network (the
     # swap walk for ldd); the built circuits meet them exactly, and every
     # build ends at the identity.
-    for (method, n), nc in lnn_builds.items():
+    wide = {("mcu-mod", n, seed): wide_ladders["lnn", n, seed] for n, seed in WIDE_LADDERS}
+    for (method, n, *_), nc in list(lnn_builds.items()) + list(wide.items()):
         assert nc.swaps_inserted == model_swaps(method, n), f"{method} n={n}"
         assert nc.counts()["CX"] == model_cx(method, n, "lnn"), f"{method} n={n}"
         assert nc.final_layout == tuple(range(1, n + 1)), f"{method} n={n}"
@@ -685,7 +707,7 @@ def test_model_cx_follows_pinned_counts():
             assert model_cx(method, n) == want, f"{method} n={n}"
 
 
-def test_model_sx_matches_built_circuits(u_gen):
+def test_model_sx_matches_built_circuits(u_gen, wide_ladders):
     # SX comes only from the lowering templates; merged runs keep the
     # cheapest form of their product (see model_sx for the derivation).
     for n in range(4, 21):
@@ -694,6 +716,9 @@ def test_model_sx_matches_built_circuits(u_gen):
         for method in ("mcu-mod", "mcu-zyz"):
             nc = synth_native(SynthConfig(method, n, u=u_gen))
             assert nc.counts()["SX"] == model_sx(method, n), f"{method} n={n}"
+    for n, seed in WIDE_LADDERS:
+        sx = wide_ladders["fc", n, seed].counts()["SX"]
+        assert sx == model_sx("mcu-mod", n), f"n={n} generic_u({seed})"
 
 
 def test_metrics_fields(u_gen):
