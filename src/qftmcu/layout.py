@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import TWO_QUBIT, Circuit, Gate, normalize_angle, rz, schedule_slots, swap
+from .circuit import TWO_QUBIT, Circuit, Gate, normalize_angle, schedule_slots, swap
 from .gate_algebra import abc_split, su2_axis
 from .optimizer import cancel_cx_pairs
 from .synthesis import build, expected_counts
@@ -626,30 +626,38 @@ def _then_swap(steps: tuple) -> tuple:
 
 def _cost(kind: str, native: str) -> int:
     """How many ``native`` gates (CX, SX or X) the rule for ``kind`` emits
-    for a gate lowered alone; a merged run can take SX and X away, never CX.
-    Rz is left out: phase folding keeps one Rz per parity and drops zero sums."""
+    for a gate lowered alone; a merged run can take SX and X away, and only
+    a CX pair with nothing left between them takes CX away.  Rz is left
+    out: phase folding keeps one Rz per parity and drops zero sums."""
     return sum(step[0] == native for step in LOWERING[kind]((1.0,) * 4))
 
 
-def _fold_turns(angle: float) -> tuple[float, int]:
-    """The angle folded into (-pi, pi], and the parity of its full turns
-    (each carries a global phase pi: Rz(2 pi) = -1)."""
-    a = normalize_angle(angle)
-    return a, round((angle - a) / TWO_PI) % 2
-
-
 class _Parities:
-    """Phase-folding state: the parity of path variables each wireline holds.
+    """Phase folding with least-depth placement, one pass over a native list.
 
     A parity is an int whose bit 0 is a constant and whose bit i > 0 is the
     path variable with id i.  Wireline w starts on variable w.  A CX XORs its
     control's parity into its target's, an X flips the constant, and an SX
     puts a fresh variable on its wireline (``fresh``).  An Rz(a) on a parity
     with constant 1 is an Rz(-a) on the parity without it, so ``rot`` keys a
-    rotated parity by its variables (``p >> 1``) and keeps its Rz:
-    [angle sum in that frame, the output list and index of its latest
-    occurrence, the wireline there, the constant there].  ``place`` writes
-    that one Rz.
+    parity by its variables (``p >> 1``) and keeps [angle sum in that frame,
+    rank, position, wireline, constant, pair] of the slot chosen for its one
+    Rz.
+
+    A wireline holds one parity from one X-basis gate on it (CX target, SX,
+    X) to the next: an interval, in which an Rz of that parity commutes with
+    every gate on the wireline.  Every interval of a parity is a slot for
+    its Rz, whether or not an Rz step sat there, so where the steps were
+    does not matter, only their sum.  ``fold`` times the Rz-free gates
+    list-ASAP and ranks each interval as it closes: 2 when the wireline
+    idles for two layers or more in it, 1 when it idles less, and 0 when it
+    lies between the two CX of a pair that would cancel with nothing
+    between them (``_cancelling``; ``pair`` is the innermost such pair),
+    since an Rz there keeps the pair.  Each parity takes the latest interval
+    of its highest rank, and its Rz goes in the slot ``fold`` leaves right
+    before the gate that closes it (in ``out``).  One idle layer in list
+    order is often one the commutation-aware scheduler fills, so it does not
+    rank 2.
     """
 
     def __init__(self, n: int) -> None:
@@ -660,6 +668,8 @@ class _Parities:
         self.top = n + 1  # ids below top have been handed out
         self.limit = 2 * n
         self.wraps = 0  # full turns folded out of the sums, mod 2
+        self.out: list[Gate | None] = []  # gates, a slot before each that closes an interval
+        self.kept: list[int] = []  # pairs an Rz was placed between
 
     def fresh(self) -> int:
         """The bit of an unused variable id.
@@ -667,7 +677,7 @@ class _Parities:
         Ids stay small, so parities stay small ints: once no id is free and
         the ids handed out reach ``limit``, the ids no wireline holds any more
         are freed, and the Rz of every parity that mentions one is placed,
-        since no later gate can reach that parity again.  ``limit`` is then
+        since every interval of that parity has closed.  ``limit`` is then
         the ids still held plus at least n, so the scan over the wirelines
         and ``rot`` runs once per n or more fresh variables.
         """
@@ -679,7 +689,9 @@ class _Parities:
             if dead:
                 rot = self.rot
                 for key in [k for k in rot if k & dead]:
-                    self.place(rot.pop(key))
+                    entry = rot.pop(key)
+                    if entry[0]:
+                        self.place(entry)
                 self.free = [v for v in range(self.top - 1, 0, -1) if dead >> (v - 1) & 1]
             live = (held >> 1).bit_count()
             self.limit = live + max(live, self.n)
@@ -688,42 +700,127 @@ class _Parities:
         self.top += 1
         return 1 << (self.top - 1)
 
-    def apply(self, w: int, kind: str, angle: float | None, out: list) -> None:
-        """Lower one native single-qubit step on wireline w into ``out``."""
-        if kind == "Rz":
-            if angle:
-                self.rotate(w, angle, out)
-            return
-        self.par[w] = self.par[w] ^ 1 if kind == "X" else self.fresh()
-        out.append(Gate(kind, w))
+    def fold(self, gates: list, pairs: bytearray) -> list[Gate]:
+        """Fold the Rz steps of ``gates`` (CX, SX and X gates, and (wireline,
+        angle) steps) into one Rz per parity, choose its slot, and return the
+        gates with the Rz placed.  ``pairs`` marks the two CX of each pair
+        that cancels once nothing sits between them (``_cancelling``); an
+        interval inside such a pair on its wireline ranks 0.  A pair an Rz
+        is placed between stays, and so do the pairs around it; the others
+        are dropped."""
+        par, rot, fresh = self.par, self.rot, self.fresh
+        n = self.n
+        out = self.out
+        avail = [0] * (n + 1)  # list-ASAP: when each wireline is next free
+        opened = [0] * (n + 1)  # when the wireline's interval opened
+        busy = [0] * (n + 1)  # gates on the wireline since (CX controls)
+        # A pair is named by the place of its first CX in ``out``.
+        inside: list[list[int]] = [[] for _ in range(n + 1)]  # pairs open around here
+        around: dict[int, list[int]] = {}  # pair -> the pairs open around it
+        second: dict[int, int] = {}  # pair -> the place of its second CX
 
-    def rotate(self, w: int, angle: float, out: list) -> None:
-        """Add an Rz(angle) on wireline w to its parity's Rz, which moves to
-        this occurrence: a placeholder appended to ``out``."""
-        p = self.par[w]
-        neg = p & 1
-        entry = self.rot.get(p >> 1)
-        if entry is None:
-            self.rot[p >> 1] = [-angle if neg else angle, out, len(out), w, neg]
-        else:
-            entry[0] += -angle if neg else angle
-            entry[1:] = out, len(out), w, neg
-        out.append(None)
+        def close(w: int, end: int) -> None:
+            # The interval's slot is the next place in ``out``.
+            p = par[w]
+            open_pairs = inside[w]
+            if open_pairs:
+                rank, inner = 0, open_pairs[-1]
+            else:
+                rank, inner = 2 if end - opened[w] > busy[w] + 1 else 1, -1
+            entry = rot.get(p >> 1)
+            if entry is None:
+                rot[p >> 1] = [0.0, rank, len(out), w, p & 1, inner]
+            elif rank >= entry[1]:
+                entry[1:] = rank, len(out), w, p & 1, inner
+            out.append(None)
 
-    def place_all(self) -> None:
-        """Write the Rz of every parity still open, once the lowering is done."""
-        for entry in self.rot.values():
-            self.place(entry)
-        self.rot.clear()
+        for g, mark in zip(gates, pairs):
+            if g.__class__ is tuple:
+                w, angle = g
+                p = par[w]
+                if p & 1:
+                    angle = -angle
+                entry = rot.get(p >> 1)
+                if entry is None:
+                    rot[p >> 1] = [angle, -1, -1, w, 0, -1]
+                else:
+                    entry[0] += angle
+                continue
+            t, c = g.target, g.control
+            start = avail[t]
+            if c is not None and avail[c] > start:
+                start = avail[c]
+            close(t, start)
+            out.append(g)
+            avail[t] = opened[t] = start + 1
+            busy[t] = 0
+            if c is None:
+                par[t] = par[t] ^ 1 if g.kind == "X" else fresh()
+                continue
+            avail[c] = start + 1
+            busy[c] += 1
+            par[t] ^= par[c]
+            if mark == 1:
+                if inside[t] or inside[c]:
+                    around[len(out) - 1] = [inside[w][-1] for w in (t, c) if inside[w]]
+                inside[t].append(len(out) - 1)
+                inside[c].append(len(out) - 1)
+            elif mark:
+                inside[c].pop()
+                second[inside[t].pop()] = len(out) - 1
+        end = max(avail)
+        for w in range(1, n + 1):
+            close(w, end)
+        for entry in rot.values():
+            if entry[0]:
+                self.place(entry)
+        rot.clear()
+        kept = self.kept
+        while kept:
+            j = kept.pop()
+            if second.pop(j, None) is not None:
+                kept += around.get(j, ())
+        for j, k in second.items():
+            out[j] = out[k] = None
+        return [g for g in out if g is not None]
 
     def place(self, entry: list) -> None:
-        """Write a parity's one Rz at its latest occurrence; a sum that
-        vanishes leaves nothing, and its full turns go to ``wraps``."""
-        angle, out, i, w, neg = entry
-        a, wraps = _fold_turns(angle)
-        self.wraps += wraps
+        """Write a parity's one Rz in its slot; a sum that vanishes leaves
+        nothing, and its full turns go to ``wraps``."""
+        angle, rank, slot, w, neg, inner = entry
+        a = normalize_angle(angle)
+        if a != angle:
+            self.wraps += round((angle - a) / TWO_PI)
         if abs(a) > 1e-12:
-            out[i] = rz(-a if neg else a, w)
+            self.out[slot] = Gate("Rz", w, None, (-a if neg else a,))
+            if rank == 0:
+                self.kept.append(inner)
+
+
+def _cancelling(gates: list, n: int) -> bytearray:
+    """Mark the CX pairs that cancel, cascading: 1 on the first CX of a pair,
+    2 on the second.  Two equal CX cancel when every gate between them on
+    their wirelines cancels too.  Each wireline stacks its gates that are
+    left; a CX whose two wirelines have the same gate on top, the same CX,
+    pops it.  Steps that are tuples (Rz still to be placed) are skipped."""
+    stacks: list[list[int]] = [[] for _ in range(n + 1)]
+    pairs = bytearray(len(gates))
+    for i, g in enumerate(gates):
+        if g.__class__ is tuple:
+            continue
+        on_t = stacks[g.target]
+        if g.control is None:
+            on_t.append(i)
+            continue
+        on_c = stacks[g.control]
+        if on_t and on_c and on_t[-1] == on_c[-1] and gates[on_t[-1]].target == g.target:
+            pairs[on_t.pop()] = 1
+            on_c.pop()
+            pairs[i] = 2
+        else:
+            on_t.append(i)
+            on_c.append(i)
+    return pairs
 
 
 #: kinds whose single-qubit steps may merge with those of a neighbour
@@ -900,18 +997,20 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     (see ``_Parities``), an Rz on a parity adds its phase term to the path
     sum's phase, and the terms on one parity add up, wherever they sit (Amy,
     Maslov & Mosca, IEEE TCAD 33:1476, 2014; Nam et al.).  So every parity
-    keeps one Rz, the sum of its angles, at its latest occurrence.  This is
-    exact for every circuit, and only Rz gates disappear.  A sum that
-    vanishes is dropped and full turns fold into the phase (Rz(2 pi) = -1)
-    as an integer parity; the template phases are summed with ``math.fsum``,
-    so the phase is correctly rounded.  The commutation-aware scheduler then
-    reorders the gates.  A routed circuit's ``final_layout`` carries over.
+    keeps one Rz, the sum of its angles, in an interval of a wireline
+    holding it that list order leaves idle, if it has one, and never
+    between two equal CX that would otherwise cancel (see ``_Parities``).  Then every CX pair with nothing left
+    between them on their wirelines cancels, cascading (``_cancelling``):
+    on the line, where the walk's chains out of and into difference form
+    meet between two blocks, that is 2(k - 2) CX for a seam of width k.
+    This is exact for every circuit.  A sum that vanishes is dropped and
+    full turns fold into the phase (Rz(2 pi) = -1) as an integer parity;
+    the template phases are summed with ``math.fsum``, so the phase is
+    correctly rounded.  The commutation-aware scheduler then reorders the
+    gates.  A routed circuit's ``final_layout`` carries over.
     """
     out: list = []
     reserved: list[int] = []
-    parities = _Parities(circ.n)
-    par = parities.par
-    apply, rotate, fresh = parities.apply, parities.rotate, parities.fresh
     terms: list[float] = []
     runs: list[_Run | None] = [None] * (circ.n + 1)
     frames: dict[int, tuple] = {}
@@ -922,20 +1021,26 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
             run = runs[q] = _Run(out, reserved)
         run.add(gate, kind, angle, source)
 
+    def emit(q: int, kind: str, angle: float | None, sub: list) -> None:
+        if kind != "Rz":
+            sub.append(Gate(kind, q))
+        elif angle:
+            sub.append((q, angle))
+
     def flush(q: int) -> None:
         run = runs[q]
         runs[q] = None
         if run.sources < 2:
             for sub, steps in run.segments:
                 for kind, angle in steps:
-                    apply(q, kind, angle, sub)
+                    emit(q, kind, angle, sub)
             return
         sub = run.segments[-1][0]
         for kind, _, angle in _matrix_steps(run.matrix()):
             if kind == "phase":
                 terms.append(angle)
             else:
-                apply(q, kind, angle, sub)
+                emit(q, kind, angle, sub)
 
     gates = circ.gates
     i = 0
@@ -963,20 +1068,13 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
             ops[1] is not None and runs[ops[1]] is not None
         )
         for kind, w, angle in steps:
-            if kind == "Rz":
-                q = ops[w]
-                if watch and (source or runs[q] is not None):
-                    hold(q, kind, angle)
-                elif angle:
-                    rotate(q, angle, out)
-            elif kind == "CX":
+            if kind == "CX":
                 c, t = ops[w], ops[1 - w]
                 if watch:
                     if runs[c] is not None:
                         flush(c)
                     if runs[t] is not None:
                         flush(t)
-                par[t] ^= par[c]
                 out.append(Gate("CX", t, control=c))
             elif kind == "phase":
                 terms.append(angle)
@@ -986,13 +1084,13 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
                 q = ops[w]
                 if watch and (source or runs[q] is not None):
                     hold(q, kind, angle)
-                else:
-                    par[q] = par[q] ^ 1 if kind == "X" else fresh()
+                elif kind != "Rz":
                     out.append(Gate(kind, q))
+                elif angle:
+                    out.append((q, angle))
     for q in range(1, circ.n + 1):
         if runs[q] is not None:
             flush(q)
-    parities.place_all()
     flat: list = []
     start = 0
     for k in reserved:
@@ -1000,8 +1098,9 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
         flat += out[k]
         start = k + 1
     flat += out[start:]
-    flat = [h for h in flat if h is not None]
-    kept = _commute_schedule(flat, circ.n)
+    parities = _Parities(circ.n)
+    lowered = parities.fold(flat, _cancelling(flat, circ.n))
+    kept = _commute_schedule(lowered, circ.n)
     terms.append(math.pi * (parities.wraps % 2))
     phase = math.fmod(math.fsum(terms), TWO_PI)
     return NativeCircuit(circ.n, kept, phase, final_layout=circ.final_layout)
@@ -1059,16 +1158,18 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 # ``model_cx`` and ``model_swaps`` are derived: the abstract counts of
 # ``expected_counts`` times the per-kind costs of ``LOWERING``, and on a line
 # the network of the parity walk (see ``_walk_half``), or for ldd of the
-# swap walk (see ``_walk``), with the CX each of its gates costs.
+# swap walk (see ``_walk``), with the CX each of its gates costs, less the
+# chains that cancel where two walked blocks meet.
 # ``model_sx`` also takes away the SX of the runs that merge.  The built
 # circuits (generic payload) meet them exactly on every width.
 # ``model_depth`` is reference data: fully-connected depth for the two MCU
 # methods plus an additive line overhead, with no stated provenance; its
 # mcu-zyz slope of 32 is that of list scheduling with only neighbouring Rz
-# merged (32n-49).  Phase folding, merged runs and the commutation-aware
-# scheduler pack mcu-zyz to 21n-35 for even n and 21n-34 for odd n
-# (n = 5..40), and mcu-mod, its roots lowered in the payload's eigenbasis,
-# to 21n-47 for even n and 21n-49 for odd n (n = 4..40; 57 at n = 5).  The
+# merged (32n-49).  Phase folding with each Rz in its least-depth interval,
+# merged runs and the commutation-aware scheduler pack mcu-zyz to 20n-33
+# for even n and 20n-34 for odd n (n = 5..40), and mcu-mod, its roots
+# lowered in the payload's eigenbasis, to 20n-45 for even n and 20n-46 for
+# odd n (n = 5..40); on the line, to 26n-46 and 26n-59 (n = 6..32).  The
 # metrics report deviations against all of them.
 
 def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
@@ -1088,8 +1189,10 @@ def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
 def _lowered_count(method: str, n: int, native: str) -> int:
     """Native gates of one kind in the fully-connected circuit if every gate
     lowered alone: the pinned abstract counts times the per-kind cost of the
-    lowering table.  Exact for CX, which no merge, phase folding or scheduling
-    removes; merged runs take SX away (see ``model_sx``)."""
+    lowering table.  Exact for CX on a generic payload: no merge, phase
+    folding or scheduling removes one, and no CX pair cancels, since every
+    CP and root keeps an Rz on a parity held only between its two CX.
+    Merged runs take SX away (see ``model_sx``)."""
     return sum(c * _cost(kind, native) for kind, c in expected_counts(method, n).items())
 
 
@@ -1142,11 +1245,20 @@ def model_cx(method: str, n: int, arch: str = "fc") -> int:
     # per stage but the first; every step lowers to 2 CX; stage 2 keeps its
     # one CP from wireline 1 (in one half of a block); the seam SWAPs.
     step = sum(s[0] == "CX" for s in _then_swap(LOWERING["CX"](())))
+    blocks = _walked_blocks(method, n)
     m = 0
-    for k, last, seam in _walked_blocks(method, n):
+    for k, last, seam in blocks:
         steps = k * (k - 1) // 2 - 1
         m += 2 * (steps * step + (k - 2 + k - last) * _cost("CX", "CX"))
         m += seam * _cost("SWAP", "CX") + (last == 2) * _cost("CP", "CX")
+    # Where the blocks meet, the first block's mirror ends on its chain out
+    # of difference form, CX(c + 1 -> c) for c = 1..k - 2 top-down, and the
+    # next block's first half starts on its chain into it, bottom-up.  Back
+    # to back, the chains cancel pairwise once lowering moves the one Rz
+    # between them (see ``_Parities``): the narrower block's k - 2 pairs.
+    # mcx-qft keeps them: an X of each block sits on wireline 1 between.
+    if method != "mcx-qft":
+        m -= 2 * (min(k for k, _, _ in blocks) - 2) * _cost("CX", "CX")
     return m
 
 

@@ -20,7 +20,7 @@ The rewrite keeps an entry byte-for-byte when its digest is equal and its
 phase agrees to 1e-12, drops the cells that left the grid, and prints the
 entries it added or changed, with the old and new counts of each.  Its last
 line is a tally over the changed entries: how many moved, and in how many the
-CX count changed, the depth rose or the native gate count rose.
+CX count rose or fell, the depth rose or the native gate count rose.
 """
 
 import csv
@@ -150,6 +150,7 @@ if __name__ == "__main__":
         for name in moved if name in old
     ]
     print(f"tally: {len(pairs)} moved, "
-          f"{sum(a[1] != b[1] for a, b in pairs)} CX changed, "
+          f"{sum(b[1] > a[1] for a, b in pairs)} CX rose, "
+          f"{sum(b[1] < a[1] for a, b in pairs)} CX fell, "
           f"{sum(b[2] > a[2] for a, b in pairs)} depth rose, "
           f"{sum(b[0] > a[0] for a, b in pairs)} gates rose")

@@ -334,10 +334,15 @@ def _cx_order(gates):
     return [(g.control, g.target) for g in lower_to_ngs(Circuit(2, gates)).gates if g.kind == "CX"]
 
 
-@pytest.mark.parametrize("kind", ["CX", "CP"])
+@pytest.mark.parametrize("kind", ["CX", "CRx"])
 def test_swap_between_two_gates_of_its_pair_goes_with_the_first(kind, u_gen):
+    # The second gate has its operands exchanged, so no CX of one template
+    # cancels one of the other, and the CX order shows which gate took the
+    # SWAP.  (Two CX the same way round meet as a pair, and two CP share
+    # their parity term, so either lowers to fewer CX whichever gate takes
+    # the SWAP.)
     g = _controlled(kind, 1, 2, u_gen)
-    circ = [g, swap(1, 2), g]
+    circ = [g, swap(1, 2), _controlled(kind, 2, 1, u_gen)]
     _native_matches_source(Circuit(2, circ))
     assert _cx_order(circ) == _cx_order(circ[:2]) + _cx_order(circ[2:])
     assert _cx_order(circ) != _cx_order(circ[:1]) + _cx_order(circ[1:])
@@ -414,10 +419,11 @@ def test_lower_merges_rz_across_a_cx_control():
 
 
 def test_lower_merges_rz_on_a_parity_a_cx_pair_restores():
-    # CX(2 -> 1) twice puts x1 back on wireline 1, so Rz(b) adds to Rz(a).
+    # CX(2 -> 1) twice puts x1 back on wireline 1, so Rz(b) adds to Rz(a),
+    # and the pair, with nothing left between them, cancels.
     nc = _native_matches_source(Circuit(2, [rz(0.3, 1), cx(2, 1), cx(2, 1), rz(0.4, 1)]))
     assert _rz_on(nc, 1) == [pytest.approx(0.7)]
-    assert [g.kind for g in nc.gates] == ["CX", "CX", "Rz"]
+    assert [g.kind for g in nc.gates] == ["Rz"]
 
 
 def test_lower_merges_rz_across_an_x_with_the_sign_flipped():
@@ -430,7 +436,8 @@ def test_lower_merges_rz_across_an_x_with_the_sign_flipped():
 
 def test_lower_merges_rz_on_a_value_a_swap_moved():
     # After the SWAP, wireline 2 holds x1: Rz(b) there adds to the Rz(a)
-    # that x1 took on wireline 1, and the sum sits at the latest occurrence.
+    # that x1 took on wireline 1, and the sum sits in the latest interval
+    # holding x1, the one on wireline 2 after the SWAP.
     nc = _native_matches_source(Circuit(2, [rz(0.3, 1), swap(1, 2), rz(0.4, 2)]))
     assert _rz_on(nc, 1) == []
     assert _rz_on(nc, 2) == [pytest.approx(0.7)]
@@ -451,7 +458,56 @@ def test_lower_cancelled_pair_drops_out_and_the_next_rz_survives(a, b):
     circ = Circuit(2, [rz(a, 1), cx(1, 2), rz(b, 1), cx(1, 2), rz(0.5, 1)])
     nc = _native_matches_source(circ)
     assert _rz_on(nc, 1) == [pytest.approx(0.5)]
-    assert [g.kind for g in nc.gates] == ["CX", "CX", "Rz"]
+    assert [g.kind for g in nc.gates] == ["Rz"]
+
+
+def test_lower_moves_an_rz_out_of_a_cx_pair_and_the_pair_cancels():
+    # Between the two CX(1 -> 2), wireline 2 holds x1 + x2; after CX(2 -> 1)
+    # wireline 1 holds it too.  The Rz goes there, and the pair cancels.
+    circ = Circuit(2, [cx(1, 2), rz(0.3, 2), cx(1, 2), cx(2, 1)])
+    nc = _native_matches_source(circ)
+    assert [(g.kind, g.target) for g in nc.gates] == [("CX", 1), ("Rz", 1)]
+
+
+def test_lower_keeps_a_cx_pair_around_the_only_interval_of_its_rz():
+    # x1 + x2 is held only between the two CX: the Rz stays, so do both CX.
+    nc = _native_matches_source(Circuit(2, [cx(1, 2), rz(0.3, 2), cx(1, 2)]))
+    assert [g.kind for g in nc.gates] == ["CX", "Rz", "CX"]
+
+
+def test_lower_keeps_the_pairs_around_a_kept_pair():
+    # The inner pair keeps its Rz, so the outer pair, which would cancel
+    # once the inner one did, keeps both its CX too.
+    circ = Circuit(3, [cx(2, 3), cx(1, 2), rz(0.3, 2), cx(1, 2), cx(2, 3)])
+    nc = _native_matches_source(circ)
+    assert [g.kind for g in nc.gates].count("CX") == 4
+
+
+def test_lower_cancels_nested_cx_pairs():
+    # The inner pair cancels, which brings the outer pair together.
+    circ = Circuit(3, [rz(0.2, 3), cx(2, 3), cx(1, 2), cx(1, 2), cx(2, 3), rz(0.4, 3)])
+    nc = _native_matches_source(circ)
+    assert [g.kind for g in nc.gates] == ["Rz"]
+    assert _rz_on(nc, 3) == [pytest.approx(0.6)]
+
+
+def test_lower_placement_ignores_rz_steps_below_1e_12(u_gen):
+    # An Rz step of 1e-17, rounding noise, adds to its parity's sum but
+    # moves no Rz: the lowered gate list stays the same, wherever it sits.
+    # The source is a lowered build, whose gates lower one by one.
+    native = lower_to_ngs(route_lnn(build(SynthConfig("mcu-mod", 6, u=u_gen))))
+    want = lower_to_ngs(native).gates
+    for at in range(0, len(native.gates), 7):
+        for w in (1, 3, 6):
+            gates = list(native.gates)
+            gates.insert(at, rz(1e-17, w))
+            got = lower_to_ngs(Circuit(6, gates)).gates
+            assert [(g.kind, g.target, g.control) for g in got] == [
+                (g.kind, g.target, g.control) for g in want
+            ], (at, w)
+            assert all(
+                g.params == pytest.approx(h.params, abs=1e-12) for g, h in zip(got, want)
+            ), (at, w)
 
 
 # -- the commutation-aware scheduler ------------------------------------------------
@@ -618,9 +674,12 @@ def test_native_circuit_rejects_out_of_range_wireline():
 
 
 def test_native_circuit_goes_straight_into_circuit_functions():
-    # A random circuit routed greedily, so cancel_cx_pairs has pairs to delete.
+    # A random circuit routed greedily and lowered, which cancels its CX
+    # pairs; with a pair appended, cancel_cx_pairs has one to delete.
     routed = route_lnn(_random_abstract(np.random.default_rng(0), n=5))
     nc = lower_to_ngs(routed)
+    assert len(cancel_cx_pairs(nc).gates) == len(nc.gates)
+    nc.gates += [cx(1, 2), cx(1, 2)]
     assert nc.final_layout == routed.final_layout
     plain = nc.as_circuit()
     assert schedule_slots(nc) == native_metrics(nc).depth == schedule_slots(plain)
@@ -695,6 +754,26 @@ def test_lnn_depth_is_linear(method, lnn_builds):
     fit = slope * ns + intercept
     r2 = 1 - float(np.sum((depths - fit) ** 2)) / float(np.sum((depths - depths.mean()) ** 2))
     assert r2 >= 0.99, f"{method}: R^2 = {r2:.4f}, slope {slope:.1f}"
+
+
+#: native depth measured on generic_u(0) builds, n = 7..32, as (FC, line)
+#: forms; the FC forms step by parity of n
+DEPTH_CEILINGS = {
+    "mcu-mod": (lambda n: 20 * n - 45 - n % 2, lambda n: 26 * n - 59),
+    "mcu-zyz": (lambda n: 20 * n - 33 - n % 2, lambda n: 26 * n - 46),
+    "mcx-qft": (lambda n: 20 * n - 41 - 2 * (n % 2), lambda n: 28 * n - 60),
+}
+
+
+@pytest.mark.parametrize("method", sorted(DEPTH_CEILINGS))
+def test_native_depth_stays_under_its_measured_ceiling(method, lnn_builds, u_gen):
+    # One-sided: a change that makes any of these circuits deeper fails here,
+    # one that makes them shallower passes (and should lower the ceiling).
+    fc, line = DEPTH_CEILINGS[method]
+    u = None if method == "mcx-qft" else u_gen
+    for n in range(7, 33):
+        assert synth_native(SynthConfig(method, n, u)).depth() <= fc(n), f"fc n={n}"
+        assert lnn_builds[method, n].depth() <= line(n), f"lnn n={n}"
 
 
 def test_model_cx_follows_pinned_counts():

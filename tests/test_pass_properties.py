@@ -10,8 +10,9 @@ variables (phase folding), and so at most one in each Z-basis run of a
 wireline (its Rz and CX controls between two X-basis gates).  A tracker local
 to these tests names the parities with ids that are never reused, so it
 checks the lowering's recycled ids independently.  On random H, U2, CU2 and
-CX circuits, whose single-qubit runs merge, the lowering keeps every CX and
-never spends more SX and X than the gates lowered alone would.
+CX circuits, whose single-qubit runs merge, the lowering never spends more
+CX, SX and X than the gates lowered alone would; CX go only in cancelling
+pairs.
 """
 
 import numpy as np
@@ -86,7 +87,8 @@ def test_merged_runs_are_exact_and_never_cost_more(circ):
     got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
     assert np.abs(got - circuit_unitary(circ)).max() < 1e-12
     counts = nc.counts()
-    assert counts["CX"] == sum(ALONE[g.kind][0] for g in circ.gates)
+    alone = sum(ALONE[g.kind][0] for g in circ.gates)
+    assert counts["CX"] <= alone and (alone - counts["CX"]) % 2 == 0
     assert counts["SX"] + counts["X"] <= sum(ALONE[g.kind][1] for g in circ.gates)
 
 
