@@ -10,9 +10,9 @@ back.  The unitary is unchanged, and the result is exactly the direct
 mcu-mod build.
 
 The rewrite adds abstract gates, the Hadamards (13 -> 17 at n=4,
-113 -> 137 at n=9).  What shrinks is the native total, by 1.44x to 1.79x
-(141 -> 98, 1161 -> 649): lowering sends each CRx through the generic
-controlled-unitary template, which costs more than a controlled phase.
+113 -> 137 at n=9).  What shrinks is the native total, by 1.81x to 2.17x
+(87 -> 48, 852 -> 393): lowering sends each CRx through the A X B X C
+template, 2 CX and 4 SX, where a controlled phase costs 2 CX and no SX.
 """
 
 import numpy as np

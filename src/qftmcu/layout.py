@@ -264,7 +264,9 @@ def _parity_walk(line: _Line, gates: list[Gate], i: int) -> int | None:
     those values, and costs nothing.  An X goes before the block when the
     qft half has no gate on its wireline, after it when the iqft half has
     none (so mcx-qft keeps one X per block), and otherwise on every
-    wireline whose parity holds its value.  Neighbour SWAPs then take the
+    wireline whose parity holds its value; an X before the block that meets
+    the same X ending the routed gates so far (mcx-qft's -1 block after its
+    +1 block) cancels with it.  Neighbour SWAPs then take the
     row from where the qft half ends to where the mirror starts (one SWAP
     after a CX(1, 2), none otherwise); a block whose seam is no permutation
     is not taken.  The whole block acts on wirelines 1..k, which must sit
@@ -332,7 +334,13 @@ def _parity_walk(line: _Line, gates: list[Gate], i: int) -> int | None:
         for r in range(q, w):
             swaps.append(swap(r, r + 1))
             par[r], par[r + 1] = par[r + 1], par[r]
-    line.out += before
+    for g in before:
+        # With the two X gone, the chains out of and into difference form
+        # on either side of them cancel too (see ``model_cx``).
+        if line.out and line.out[-1].kind == "X" and line.out[-1].target == g.target:
+            line.out.pop()
+        else:
+            line.out.append(g)
     line.out += out
     line.out += flips
     line.out += swaps
@@ -585,10 +593,26 @@ def _cp_steps(g: float) -> tuple:
 
 def _crx_steps(g: float) -> tuple:
     """Controlled Rx(g) = Rz(-pi/2) Ry(g) Rz(pi/2) as C, CX, B, CX, A (Barenco
-    et al., PRA 52:3457, 1995; see abc_split)."""
+    et al., PRA 52:3457, 1995; see abc_split), with a Z pushed out of B.
+
+    B's two-SX form ends on an Rz(pi): B = Rz(pi) B' with B' = (d, a - pi,
+    t, b).  That Rz(pi) crosses the second CX as CX Rz_T(pi) = e^(i pi/2)
+    Rz_C(pi) Rz_T(pi) CX (Nam, Ross, Su, Childs & Maslov, npj Quantum Inf.
+    4:23, 2018), and A Rz(pi) = Rz(a + pi) Ry(-t) Rz(b).  So the target
+    keeps only the Rz of B' and A's middle angle, and A now ends on
+    Rz(-pi/2) (mod 2 pi), which cancels the next CRx's C = Rz(pi/2) on the
+    same parity; the Rz(pi) lands on the control's parity."""
     par_a, par_b, par_c = abc_split(-_PI / 2, g, _PI / 2)
-    head = (("Rz", _T, par_c[3]), ("CX", _C, None))
-    return head + _u2_steps(*par_b) + (("CX", _C, None),) + _u2_steps(*par_a)
+    d, a, t, b = par_b
+    b_rest = (d, a - _PI, t, b)
+    d, a, t, b = par_a
+    a_after = (d, a + _PI, -t, b)
+    return (
+        (("Rz", _T, par_c[3]), ("CX", _C, None))
+        + _u2_steps(*b_rest)
+        + (("CX", _C, None), ("phase", None, _PI / 2), ("Rz", _C, _PI))
+        + _u2_steps(*a_after)
+    )
 
 
 _SWAP_STEPS = (("CX", _C, None), ("CX", _T, None), ("CX", _C, None))
@@ -1256,10 +1280,9 @@ def model_cx(method: str, n: int, arch: str = "fc") -> int:
     # next block's first half starts on its chain into it, bottom-up.  Back
     # to back, the chains cancel pairwise once lowering moves the one Rz
     # between them (see ``_Parities``): the narrower block's k - 2 pairs.
-    # mcx-qft keeps them: an X of each block sits on wireline 1 between.
-    if method != "mcx-qft":
-        m -= 2 * (min(k for k, _, _ in blocks) - 2) * _cost("CX", "CX")
-    return m
+    # mcx-qft's X on wireline 1 between the blocks cancels first (see
+    # ``_parity_walk``).
+    return m - 2 * (min(k for k, _, _ in blocks) - 2) * _cost("CX", "CX")
 
 
 def model_sx(method: str, n: int) -> int:

@@ -19,8 +19,9 @@ cells moved and why:
 The rewrite keeps an entry byte-for-byte when its digest is equal and its
 phase agrees to 1e-12, drops the cells that left the grid, and prints the
 entries it added or changed, with the old and new counts of each.  Its last
-line is a tally over the changed entries: how many moved, and in how many the
-CX count rose or fell, the depth rose or the native gate count rose.
+lines tally the changed entries per method and target (a sweep on its own):
+how many moved, and in how many the CX count rose or fell, the depth rose or
+fell, or the native gate count rose.
 """
 
 import csv
@@ -144,13 +145,18 @@ if __name__ == "__main__":
         print(f"  changed {name}: {was} -> {digests[name][2]}")
     for name in dropped:
         print(f"  dropped {name}")
-    # (gates, CX, depth) of each changed entry that was there before
-    pairs = [
-        [[int(v) for v in re.findall(r"\d+", rec[2])[:3]] for rec in (old[name], digests[name])]
-        for name in moved if name in old
-    ]
-    print(f"tally: {len(pairs)} moved, "
-          f"{sum(b[1] > a[1] for a, b in pairs)} CX rose, "
-          f"{sum(b[1] < a[1] for a, b in pairs)} CX fell, "
-          f"{sum(b[2] > a[2] for a, b in pairs)} depth rose, "
-          f"{sum(b[0] > a[0] for a, b in pairs)} gates rose")
+    # (gates, CX, depth) of each changed entry that was there before, by
+    # method and target ("ldd/lnn"; a sweep by its own name)
+    pairs: dict[str, list] = {}
+    for name in sorted(moved & old.keys()):
+        group = "/".join(name.split("/")[0:3:2])
+        pairs.setdefault(group, []).append(
+            [[int(v) for v in re.findall(r"\d+", rec[2])[:3]] for rec in (old[name], digests[name])]
+        )
+    for group, rows in pairs.items():
+        print(f"tally {group}: {len(rows)} moved, "
+              f"{sum(b[1] > a[1] for a, b in rows)} CX rose, "
+              f"{sum(b[1] < a[1] for a, b in rows)} CX fell, "
+              f"{sum(b[2] > a[2] for a, b in rows)} depth rose, "
+              f"{sum(b[2] < a[2] for a, b in rows)} depth fell, "
+              f"{sum(b[0] > a[0] for a, b in rows)} gates rose")

@@ -391,6 +391,22 @@ def test_lower_single_gate_exact(gate):
     _native_matches_source(Circuit(width, [gate]))
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_crx_stage_takes_8_layers_per_crx_on_its_target(m):
+    # m CRx with distinct angles onto one target, as in an ldd stage, lower
+    # exactly with their tracked phase.  The count is odd: the template's
+    # pi/2 phase taken with the wrong sign is a factor -1 per CRx, which an
+    # even count (every build's) hides.  Each CRx costs its 2 CX and 4 SX on the target and nothing
+    # more: A's last Rz cancels the next CRx's C, and B's Z went to the
+    # control, so only the stage's first C and last A keep an Rz there.
+    t = m + 1
+    circ = Circuit(t, [crx(0.3 + 0.4 * c, c, t) for c in range(1, t)])
+    nc = _native_matches_source(circ)
+    on_t = [g.kind for g in nc.gates if t in g.wires()]
+    assert on_t == ["Rz"] + ["CX", "SX", "Rz", "SX"] * 2 * m + ["Rz"]
+    assert nc.depth() == 8 * m + 2
+
+
 def test_lower_drops_zero_rotations():
     nc = lower_to_ngs(Circuit(1, [rz(0.0, 1)]))
     assert nc.gates == []
@@ -757,11 +773,13 @@ def test_lnn_depth_is_linear(method, lnn_builds):
 
 
 #: native depth measured on generic_u(0) builds, n = 7..32, as (FC, line)
-#: forms; the FC forms step by parity of n
+#: forms; the FC forms of the QFT methods step by parity of n, ldd's by
+#: n mod 3 from n = 8 (n = 7 reads 168, 3 above that form)
 DEPTH_CEILINGS = {
     "mcu-mod": (lambda n: 20 * n - 45 - n % 2, lambda n: 26 * n - 59),
     "mcu-zyz": (lambda n: 20 * n - 33 - n % 2, lambda n: 26 * n - 46),
-    "mcx-qft": (lambda n: 20 * n - 41 - 2 * (n % 2), lambda n: 28 * n - 60),
+    "mcx-qft": (lambda n: 20 * n - 41 - 2 * (n % 2), lambda n: 26 * n - 53),
+    "ldd": (lambda n: 168 if n == 7 else 40 * n - 117 + 2 * (n % 3), lambda n: 56 * n - 145),
 }
 
 
