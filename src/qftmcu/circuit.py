@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 TWO_QUBIT = frozenset({"CX", "CP", "CRx", "CU2", "SWAP"})
 
@@ -31,16 +32,7 @@ BLOCK_MINUS = "-1"
 _ANGLE_KINDS = frozenset({"Rz", "P", "CP", "CRx"})
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate. ``control`` is None for single-qubit kinds; SWAP stores its
-    two operands as target+control.  U2/CU2 carry ZYZ params
-    (delta, alpha, theta, beta) meaning e^{i delta} Rz(alpha) Ry(theta) Rz(beta).
-
-    block/role/root_m are scheduling and rewrite annotations; they are not
-    part of the serialized format.
-    """
-
+class _GateFields(NamedTuple):
     kind: str
     target: int
     control: int | None = None
@@ -49,13 +41,46 @@ class Gate:
     role: str | None = None
     root_m: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if (self.kind in TWO_QUBIT) != (self.control is not None):
-            raise ValueError(f"{self.kind} control operand mismatch")
-        if self.control is not None and self.control == self.target:
-            raise ValueError(f"{self.kind} control equals target")
+
+class Gate(_GateFields):
+    """One gate, an immutable tuple record.  ``control`` is None for
+    single-qubit kinds; SWAP stores its two operands as target+control.
+    U2/CU2 carry ZYZ params (delta, alpha, theta, beta) meaning
+    e^{i delta} Rz(alpha) Ry(theta) Rz(beta).
+
+    block/role/root_m are scheduling and rewrite annotations; they are not
+    part of the serialized format.
+
+    Every way to make one, ``Gate(...)``, ``_make`` and ``_replace``, runs
+    the checks of ``__new__``.  A gate compares and hashes as the tuple of
+    its fields.  Code that keeps plain tuples beside gates in one list tells
+    them apart by ``g.__class__ is tuple``, since a gate is a tuple too.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        target: int,
+        control: int | None = None,
+        params: tuple[float, ...] = (),
+        block: str | None = None,
+        role: str | None = None,
+        root_m: int | None = None,
+    ) -> Gate:
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if (kind in TWO_QUBIT) != (control is not None):
+            raise ValueError(f"{kind} control operand mismatch")
+        if control is not None and control == target:
+            raise ValueError(f"{kind} control equals target")
+        return tuple.__new__(cls, (kind, target, control, params, block, role, root_m))
+
+    @classmethod
+    def _make(cls, iterable) -> Gate:
+        # ``_replace`` builds its result through ``_make``.
+        return cls(*iterable)
 
     def wires(self) -> tuple[int, ...]:
         if self.control is None:

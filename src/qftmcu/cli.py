@@ -187,6 +187,9 @@ def _metrics_row(method: str, n: int, arch: str, aqft, u) -> dict:
         "swap_inserted": nc.swaps_inserted,
         "paper_depth_formula": "" if nm.model_depth is None else nm.model_depth,
         "deviation": "" if nm.depth_deviation is None else f"{nm.depth_deviation:.4f}",
+        # JSON only: the Rz sums lowering left out as rounding noise.
+        "dropped_rz": nm.dropped_rz,
+        "dropped_rz_sum": nm.dropped_rz_sum,
     }
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,7 +430,9 @@ class NativeCircuit(Circuit):
 
     ``gates`` only ever holds CX, Rz, SX and X.  The provenance fields are
     filled by :func:`synth_native` so that metrics can be compared against
-    the closed-form depth and count models.
+    the closed-form depth and count models.  ``dropped_rz`` counts the
+    folded Rz sums that lowering left out as rounding noise (nonzero, within
+    1e-12 of a full turn), and ``dropped_rz_sum`` adds up their |angle|.
     """
 
     global_phase: float = 0.0
@@ -438,6 +440,8 @@ class NativeCircuit(Circuit):
     arch: str = "fc"
     abstract_slots: int | None = None
     swaps_inserted: int = 0
+    dropped_rz: int = 0
+    dropped_rz_sum: float = 0.0
 
     def counts(self) -> dict[str, int]:
         out = {k: 0 for k in NATIVE_KINDS}
@@ -692,6 +696,8 @@ class _Parities:
         self.top = n + 1  # ids below top have been handed out
         self.limit = 2 * n
         self.wraps = 0  # full turns folded out of the sums, mod 2
+        self.dropped = 0  # nonzero sums within 1e-12 of a full turn, left out
+        self.dropped_sum = 0.0  # their summed |angle|
         self.out: list[Gate | None] = []  # gates, a slot before each that closes an interval
         self.kept: list[int] = []  # pairs an Rz was placed between
 
@@ -810,7 +816,9 @@ class _Parities:
 
     def place(self, entry: list) -> None:
         """Write a parity's one Rz in its slot; a sum that vanishes leaves
-        nothing, and its full turns go to ``wraps``."""
+        nothing, and its full turns go to ``wraps``.  A sum within 1e-12 of
+        a full turn but not on it is rounding noise of the folded terms; it
+        is left out too, and counted in ``dropped`` and ``dropped_sum``."""
         angle, rank, slot, w, neg, inner = entry
         a = normalize_angle(angle)
         if a != angle:
@@ -819,6 +827,9 @@ class _Parities:
             self.out[slot] = Gate("Rz", w, None, (-a if neg else a,))
             if rank == 0:
                 self.kept.append(inner)
+        elif a:
+            self.dropped += 1
+            self.dropped_sum += abs(a)
 
 
 def _cancelling(gates: list, n: int) -> bytearray:
@@ -898,104 +909,144 @@ class _Run:
         return a, b, c, d
 
 
-def _native_basis(g: Gate, w: int) -> str:
-    """Single-qubit basis in which a native gate is diagonal on wireline w.
-
-    Rz and a CX control are Z-diagonal; X, SX and a CX target are X-diagonal
-    (SX = exp(-i pi X / 4) up to phase).  Two native gates commute when they
-    agree in basis on every wireline they share.
-    """
-    if g.kind == "Rz" or (g.kind == "CX" and w == g.control):
-        return "z"
-    return "x"
-
-
 def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     """Reorder native gates into earliest-start order, honouring commutation.
 
     List scheduling charges each gate to the latest busy time of its
     wirelines in *list* order, so a gate stuck behind a commuting neighbour
     can idle a wireline for no physical reason.  This pass builds the
-    commutation DAG (edges only between gates that share a wireline in
-    different bases) and greedily emits whichever ready gate can start
+    commutation DAG and greedily emits whichever ready gate can start
     earliest, breaking ties by original position.  Only commuting exchanges
     are performed, so the overall unitary is untouched.
+
+    Rz and a CX control are Z-diagonal on their wireline; X, SX and a CX
+    target are X-diagonal (SX = exp(-i pi X / 4) up to phase), and two
+    native gates commute when they agree in basis on every wireline they
+    share.  So the gates on a wireline fall into runs, maximal stretches of
+    one basis, and a gate must follow every gate of the run before its own
+    there; gates of one run commute no matter how far apart they sit.  The
+    DAG is kept run by run: each wireline lists the gates on it in order
+    (``members``) and where each run starts (``bounds``), a gate's in-degree
+    counts the runs it waits on (one per wireline but on the first run),
+    and once a run has no member left to emit, the gates of the run after
+    it each lose one.  That is the DAG with an edge from every gate of a
+    run to every gate of the next, in O(1) per gate.
 
     Ready gates on one wire tuple share a start time, and they become ready in
     index order: whatever holds a gate back on one of its wirelines also
     holds back every later gate on the same wirelines, directly or through
     the runs between them.  So each wire tuple queues its ready gates
-    first-in first-out, and one heap holds a ``(start, index)`` entry for the
-    head of every non-empty queue.  Starts only grow (``avail`` is
-    monotone), so an entry's start is a lower bound: a popped entry whose
-    start moved on is pushed back with the new one, and a popped entry whose
-    start still holds is the least ``(start, index)`` over all ready gates --
-    the gate a scan of the whole ready list would emit.  Each emission costs
+    first-in first-out, and one heap holds a ``start << shift | index`` key
+    for the head of every non-empty queue.  Starts only grow (``avail`` is
+    monotone), so a key's start is a lower bound: a popped key whose start
+    moved on is pushed back with the new one, and a popped key whose start
+    still holds is the least ``(start, index)`` over all ready gates -- the
+    gate a scan of the whole ready list would emit.  Each emission costs
     O(log m) heap work instead of an O(|ready|) scan.
     """
     m = len(gates)
-    succs: list[list[int]] = [[] for _ in range(m)]
+    shift = m.bit_length()
+    mask = (1 << shift) - 1
     indeg = [0] * m
-    # Per wireline: basis of the current commuting run, its members, and the
-    # members of the run before it.  A gate must follow every gate of the
-    # opposite-basis run immediately preceding it on each of its wirelines;
-    # same-basis gates commute there no matter how far apart they sit.
-    run: dict[int, tuple[str, list[int], list[int]]] = {}
+    run_t = [0] * m  # the run of each gate on its target, and on its control
+    run_c = [0] * m
+    members: list[list[int]] = [[] for _ in range(n + 1)]
+    bounds: list[list[int]] = [[] for _ in range(n + 1)]
+    z_basis: list[bool | None] = [None] * (n + 1)  # the basis of the current run
+    queue_of: list = [None] * m  # the queue of each gate's wire tuple
+    queues: dict[tuple[int | None, int], deque[int]] = {}
+    heap: list[int] = []
     for i, g in enumerate(gates):
-        ws = (g.target,) if g.control is None else (g.control, g.target)
-        for w in ws:
-            basis = _native_basis(g, w)
-            st = run.get(w)
-            if st is None:
-                run[w] = (basis, [i], [])
-            elif st[0] == basis:
-                for q in st[2]:
-                    succs[q].append(i)
-                    indeg[i] += 1
-                st[1].append(i)
-            else:
-                for q in st[1]:
-                    succs[q].append(i)
-                    indeg[i] += 1
-                run[w] = (basis, [i], st[1])
+        t, c = g.target, g.control
+        queue = queues.get((c, t))
+        if queue is None:
+            queue = queues[c, t] = deque()
+        queue_of[i] = queue
+        deg = 0
+        if c is not None:
+            on = members[c]
+            if z_basis[c] is not True:
+                z_basis[c] = True
+                bounds[c].append(len(on))
+            run_c[i] = k = len(bounds[c]) - 1
+            on.append(i)
+            if k:
+                deg = 1
+            z = False
+        else:
+            z = g.kind == "Rz"
+        on = members[t]
+        if z_basis[t] is not z:
+            z_basis[t] = z
+            bounds[t].append(len(on))
+        run_t[i] = k = len(bounds[t]) - 1
+        on.append(i)
+        if k:
+            deg += 1
+        if deg:
+            indeg[i] = deg
+        else:
+            queue.append(i)  # ready at time 0
+            if len(queue) == 1:
+                heap.append(i)  # ascending keys: a heap already
+    left: list[list[int]] = []  # per wireline, the gates of each run not yet emitted
+    for on, bnd in zip(members, bounds):
+        bnd += (len(on), len(on))  # so run k + 1 is on[bnd[k + 1]:bnd[k + 2]], maybe empty
+        left.append([hi - lo for lo, hi in zip(bnd, bnd[1:])])
     avail = [0] * (n + 1)
-    queues: dict[tuple[int | None, int], deque[int]] = defaultdict(deque)
-    heap: list[tuple[int, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
+    order: list[Gate] = []
 
-    def start_of(g: Gate) -> int:
-        return avail[g.target] if g.control is None else max(avail[g.target], avail[g.control])
+    def release(w: int, k: int) -> None:
+        """Run k on wireline w is done: the gates of run k + 1 wait on one run less."""
+        bnd = bounds[w]
+        for i in members[w][bnd[k + 1] : bnd[k + 2]]:
+            indeg[i] -= 1
+            if indeg[i]:
+                continue
+            queue = queue_of[i]
+            queue.append(i)
+            if len(queue) == 1:
+                g = gates[i]
+                t, c = g.target, g.control
+                now = avail[t]
+                if c is not None and avail[c] > now:
+                    now = avail[c]
+                push(heap, now << shift | i)
 
-    def make_ready(i: int) -> None:
-        g = gates[i]
-        queue = queues[g.control, g.target]
-        queue.append(i)
-        if len(queue) == 1:
-            heapq.heappush(heap, (start_of(g), i))
-
-    for i in range(m):
-        if indeg[i] == 0:
-            make_ready(i)
-    order: list[int] = []
     while heap:
-        start, best = heapq.heappop(heap)
+        key = pop(heap)
+        best = key & mask
+        start = key >> shift
         g = gates[best]
-        now = start_of(g)
+        t, c = g.target, g.control
+        now = avail[t]
+        if c is not None and avail[c] > now:
+            now = avail[c]
         if now != start:
-            heapq.heappush(heap, (now, best))
+            push(heap, now << shift | best)
             continue
-        queue = queues[g.control, g.target]
+        queue = queue_of[best]
         queue.popleft()
-        order.append(best)
-        avail[g.target] = start + 1
-        if g.control is not None:
-            avail[g.control] = start + 1
+        order.append(g)
+        start += 1
+        avail[t] = start
+        if c is not None:
+            avail[c] = start
         if queue:
-            heapq.heappush(heap, (start + 1, queue[0]))
-        for s in succs[best]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                make_ready(s)
-    return [gates[i] for i in order]
+            push(heap, start << shift | queue[0])
+        k = run_t[best]
+        runs = left[t]
+        runs[k] -= 1
+        if not runs[k]:
+            release(t, k)
+        if c is not None:
+            k = run_c[best]
+            runs = left[c]
+            runs[k] -= 1
+            if not runs[k]:
+                release(c, k)
+    return order
 
 
 def lower_to_ngs(circ: Circuit) -> NativeCircuit:
@@ -1027,7 +1078,8 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     between them on their wirelines cancels, cascading (``_cancelling``):
     on the line, where the walk's chains out of and into difference form
     meet between two blocks, that is 2(k - 2) CX for a seam of width k.
-    This is exact for every circuit.  A sum that vanishes is dropped and
+    This is exact for every circuit.  A sum that vanishes is dropped, and
+    so is one within 1e-12 of it (counted in ``dropped_rz``), and
     full turns fold into the phase (Rz(2 pi) = -1) as an integer parity;
     the template phases are summed with ``math.fsum``, so the phase is
     correctly rounded.  The commutation-aware scheduler then reorders the
@@ -1099,7 +1151,7 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
                         flush(c)
                     if runs[t] is not None:
                         flush(t)
-                out.append(Gate("CX", t, control=c))
+                out.append(Gate("CX", t, c))
             elif kind == "phase":
                 terms.append(angle)
             elif kind == "frame":
@@ -1127,7 +1179,10 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     kept = _commute_schedule(lowered, circ.n)
     terms.append(math.pi * (parities.wraps % 2))
     phase = math.fmod(math.fsum(terms), TWO_PI)
-    return NativeCircuit(circ.n, kept, phase, final_layout=circ.final_layout)
+    return NativeCircuit(
+        circ.n, kept, phase, final_layout=circ.final_layout,
+        dropped_rz=parities.dropped, dropped_rz_sum=parities.dropped_sum,
+    )
 
 
 # -- end-to-end pipeline and metrics --------------------------------------------
@@ -1141,6 +1196,8 @@ class NativeMetrics:
     model_cx: int | None
     cx_deviation: float | None
     cx_cancellable: int
+    dropped_rz: int
+    dropped_rz_sum: float
 
 
 def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
@@ -1174,6 +1231,8 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
         model_cx=mc,
         cx_deviation=None if mc is None else (counts["CX"] - mc) / mc,
         cx_cancellable=len(nc.gates) - len(cancel_cx_pairs(nc).gates),
+        dropped_rz=nc.dropped_rz,
+        dropped_rz_sum=nc.dropped_rz_sum,
     )
 
 

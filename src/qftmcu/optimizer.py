@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import replace
 
 from .circuit import (
     BLOCK_MINUS,
@@ -99,8 +98,8 @@ def merge_phase_columns(circ: Circuit) -> Circuit:
                 if len(keep) == 1 and len(toss) == 1:
                     kg = gates[keep[0]]
                     new_m = kg.root_m - 1 if kg.root_m is not None else None
-                    repl[keep[0]] = replace(
-                        kg, params=combine(kg.params, g.params), root_m=new_m
+                    repl[keep[0]] = kg._replace(
+                        params=combine(kg.params, g.params), root_m=new_m
                     )
                     drop |= {ci, toss[0]}
 
@@ -197,7 +196,7 @@ def ldd_to_qft(circ: Circuit) -> Circuit:
                 converted.append(
                     # CRz would be the literal basis change; the original QFT
                     # stages carry controlled phases, so go straight there.
-                    replace(g, kind="CP")
+                    g._replace(kind="CP")
                 )
         else:
             converted.append(g)

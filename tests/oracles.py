@@ -1,6 +1,9 @@
 """Test-only oracles: the gate-algebra identity battery, the AQFT count
-formulas and gate-list identity.  The pipeline never calls these; the tests
-judge it against them."""
+formulas, gate-list identity and the reference commutation scheduler.  The
+pipeline never calls these; the tests judge it against them."""
+
+import heapq
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -134,3 +137,109 @@ def structural_equal(a: Circuit, b: Circuit) -> bool:
             if abs(normalize_angle(pa - pb)) > 1e-9:
                 return False
     return True
+
+
+# -- reference scheduler ------------------------------------------------------
+
+def _native_basis(g, w: int) -> str:
+    """Single-qubit basis in which a native gate is diagonal on wireline w.
+
+    Rz and a CX control are Z-diagonal; X, SX and a CX target are X-diagonal
+    (SX = exp(-i pi X / 4) up to phase).  Two native gates commute when they
+    agree in basis on every wireline they share.
+    """
+    if g.kind == "Rz" or (g.kind == "CX" and w == g.control):
+        return "z"
+    return "x"
+
+
+def heap_commute_schedule(gates: list, n: int) -> list:
+    """The commutation-aware scheduler with one DAG edge per pair of
+    dependent gates, the reference for ``layout._commute_schedule``, which
+    counts runs instead: the two must emit the same order.
+
+    Reorder native gates into earliest-start order, honouring commutation.
+
+    List scheduling charges each gate to the latest busy time of its
+    wirelines in *list* order, so a gate stuck behind a commuting neighbour
+    can idle a wireline for no physical reason.  This pass builds the
+    commutation DAG (edges only between gates that share a wireline in
+    different bases) and greedily emits whichever ready gate can start
+    earliest, breaking ties by original position.  Only commuting exchanges
+    are performed, so the overall unitary is untouched.
+
+    Ready gates on one wire tuple share a start time, and they become ready in
+    index order: whatever holds a gate back on one of its wirelines also
+    holds back every later gate on the same wirelines, directly or through
+    the runs between them.  So each wire tuple queues its ready gates
+    first-in first-out, and one heap holds a ``(start, index)`` entry for the
+    head of every non-empty queue.  Starts only grow (``avail`` is
+    monotone), so an entry's start is a lower bound: a popped entry whose
+    start moved on is pushed back with the new one, and a popped entry whose
+    start still holds is the least ``(start, index)`` over all ready gates --
+    the gate a scan of the whole ready list would emit.  Each emission costs
+    O(log m) heap work instead of an O(|ready|) scan.
+    """
+    m = len(gates)
+    succs: list[list[int]] = [[] for _ in range(m)]
+    indeg = [0] * m
+    # Per wireline: basis of the current commuting run, its members, and the
+    # members of the run before it.  A gate must follow every gate of the
+    # opposite-basis run immediately preceding it on each of its wirelines;
+    # same-basis gates commute there no matter how far apart they sit.
+    run: dict[int, tuple[str, list[int], list[int]]] = {}
+    for i, g in enumerate(gates):
+        ws = (g.target,) if g.control is None else (g.control, g.target)
+        for w in ws:
+            basis = _native_basis(g, w)
+            st = run.get(w)
+            if st is None:
+                run[w] = (basis, [i], [])
+            elif st[0] == basis:
+                for q in st[2]:
+                    succs[q].append(i)
+                    indeg[i] += 1
+                st[1].append(i)
+            else:
+                for q in st[1]:
+                    succs[q].append(i)
+                    indeg[i] += 1
+                run[w] = (basis, [i], st[1])
+    avail = [0] * (n + 1)
+    queues: dict[tuple[int | None, int], deque[int]] = defaultdict(deque)
+    heap: list[tuple[int, int]] = []
+
+    def start_of(g) -> int:
+        return avail[g.target] if g.control is None else max(avail[g.target], avail[g.control])
+
+    def make_ready(i: int) -> None:
+        g = gates[i]
+        queue = queues[g.control, g.target]
+        queue.append(i)
+        if len(queue) == 1:
+            heapq.heappush(heap, (start_of(g), i))
+
+    for i in range(m):
+        if indeg[i] == 0:
+            make_ready(i)
+    order: list[int] = []
+    while heap:
+        start, best = heapq.heappop(heap)
+        g = gates[best]
+        now = start_of(g)
+        if now != start:
+            heapq.heappush(heap, (now, best))
+            continue
+        queue = queues[g.control, g.target]
+        queue.popleft()
+        order.append(best)
+        avail[g.target] = start + 1
+        if g.control is not None:
+            avail[g.control] = start + 1
+        if queue:
+            heapq.heappush(heap, (start + 1, queue[0]))
+        for s in succs[best]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                make_ready(s)
+    return [gates[i] for i in order]

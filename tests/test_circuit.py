@@ -1,6 +1,9 @@
-"""Circuit IR: scheduling, inversion, serialization, counting."""
+"""Circuit IR: the gate record, scheduling, inversion, serialization,
+counting."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -43,6 +46,45 @@ def test_gate_rejects_control_mismatch():
         Gate("H", 1, control=2)
     with pytest.raises(ValueError):
         Gate("CX", 1, control=1)
+
+
+BAD_GATES = [("Hadamard", 1, None), ("CX", 2, None), ("H", 1, 2), ("CX", 1, 1)]
+
+
+@pytest.mark.parametrize("kind,target,control", BAD_GATES, ids=["kind", "no-control", "control", "same"])
+def test_every_way_to_make_a_gate_checks_it(kind, target, control):
+    # An unknown kind, a control where the kind takes none or none where it
+    # takes one, and a control on the target are refused however the gate
+    # is made.
+    good = cx(1, 2) if kind == "CX" else h(2)
+    with pytest.raises(ValueError):
+        Gate(kind, target, control)
+    with pytest.raises(ValueError):
+        Gate._make((kind, target, control, (), None, None, None))
+    with pytest.raises(ValueError):
+        good._replace(kind=kind, target=target, control=control)
+
+
+def test_gate_is_immutable():
+    g = cp(0.3, 1, 2, block="+1")
+    with pytest.raises(AttributeError):
+        g.target = 3
+    with pytest.raises(AttributeError):
+        g.note = "x"  # no instance dict either
+
+
+def test_gate_copies_and_pickles_to_an_equal_gate():
+    g = u2((0.1, 0.2, 0.3, 0.4), 2, block="-1", role="qft", root_m=3)
+    for back in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert back == g and back.__class__ is Gate
+
+
+def test_gate_compares_and_hashes_as_its_field_tuple():
+    # As the frozen dataclass did, so set and dict orders cannot move.
+    g = cx(1, 2, block="+1", role="qft")
+    fields = ("CX", 2, 1, (), "+1", "qft", None)
+    assert tuple(g) == fields and g == fields and hash(g) == hash(fields)
+    assert g != cx(1, 2) and g._replace(block=None, role=None) == cx(1, 2)
 
 
 def test_circuit_rejects_out_of_range_wireline():

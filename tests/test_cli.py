@@ -149,10 +149,13 @@ def test_metrics_json_is_one_row_object(capsys):
     flags = ("metrics", "--method", "mcu-mod", "--n", "5", "--u", "X", "--arch", "lnn")
     assert run(*flags, "--format", "json") == 0
     row = json.loads(capsys.readouterr().out)
-    assert list(row) == sorted(CSV_COLUMNS)
+    # The JSON row adds the Rz sums lowering left out to the CSV columns.
+    assert list(row) == sorted((*CSV_COLUMNS, "dropped_rz", "dropped_rz_sum"))
+    # With payload X one parity sums to 6.1e-17, and lowering leaves it out.
+    assert row["dropped_rz"] == 1 and 0 < row["dropped_rz_sum"] < 1e-16
     assert run(*flags) == 0
     (want,) = csv.DictReader(capsys.readouterr().out.splitlines())
-    assert {k: str(v) for k, v in row.items()} == want
+    assert {k: str(row[k]) for k in CSV_COLUMNS} == want
     assert row["swap_inserted"] > 0
 
 
@@ -162,7 +165,7 @@ def test_sweep_json_rows_equal_the_csv_rows(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert run(*argv) == 0
     want = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert [{k: str(v) for k, v in r.items()} for r in rows] == want
+    assert [{k: str(r[k]) for k in CSV_COLUMNS} for r in rows] == want
     assert len(rows) == 2 * 3
 
 

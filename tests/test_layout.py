@@ -6,13 +6,12 @@ which is the property the whole pipeline stands on, and to the gate order of
 the ready-list scan it replaced.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from qftmcu import layout
 from qftmcu.circuit import (
+    BLOCK_PLUS,
     GATE_KINDS,
     TWO_QUBIT,
     Circuit,
@@ -237,7 +236,7 @@ def test_aqft_truncates_a_routed_circuit_as_its_source(method, n, m, u_gen):
 
 
 def _unannotated(circ):
-    return Circuit(circ.n, [replace(g, block=None, role=None) for g in circ.gates])
+    return Circuit(circ.n, [g._replace(block=None, role=None) for g in circ.gates])
 
 
 def test_route_swap_counts_are_reported_not_forced(u_gen):
@@ -405,6 +404,25 @@ def test_crx_stage_takes_8_layers_per_crx_on_its_target(m):
     on_t = [g.kind for g in nc.gates if t in g.wires()]
     assert on_t == ["Rz"] + ["CX", "SX", "Rz", "SX"] * 2 * m + ["Rz"]
     assert nc.depth() == 8 * m + 2
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+@pytest.mark.parametrize("n", [5, 7])
+def test_ldd_block_lowers_with_its_crx_phase(n, arch, u_gen):
+    # The same check on built circuits.  verify_mcu cannot make it: every
+    # ldd build holds an even number of CRx.  One block holds (n - 2)^2,
+    # odd for odd n, so lowered on its own, routed or not, it equals the
+    # abstract block times its tracked phase only if each CRx's phase does.
+    circ = build(SynthConfig("ldd", n, u=u_gen))
+    block = Circuit(n, [g for g in circ.gates if g.block == BLOCK_PLUS])
+    assert sum(g.kind == "CRx" for g in block.gates) == (n - 2) ** 2
+    want = circuit_unitary(block)
+    if arch == "lnn":
+        block = route_lnn(block)
+        want = layout_permutation(block.final_layout) @ want
+    nc = lower_to_ngs(block)
+    got = circuit_unitary(nc) * np.exp(1j * nc.global_phase)
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_lower_drops_zero_rotations():
@@ -837,6 +855,20 @@ def test_metrics_empty_circuit():
     assert m.depth == 0
     assert m.counts == {"CX": 0, "Rz": 0, "SX": 0, "X": 0}
     assert m.model_depth is None and m.depth_deviation is None
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_metrics_report_the_rz_sums_left_out_as_noise(arch, u_gen):
+    # Phase folding leaves out a parity's Rz when its folded sum is nonzero
+    # but within 1e-12 of a full turn: rounding noise of the folded terms.
+    # None at n=8; at n=48, 93 such sums on FC and 92 on the line, about
+    # 3.1e-11 in all, each under 1e-12.
+    m = native_metrics(synth_native(SynthConfig("mcu-mod", 8, u=u_gen), arch))
+    assert (m.dropped_rz, m.dropped_rz_sum) == (0, 0.0)
+    m = native_metrics(synth_native(SynthConfig("mcu-mod", 48, u=u_gen), arch))
+    assert m.dropped_rz == (93 if arch == "fc" else 92)
+    assert 3.0e-11 < m.dropped_rz_sum < 3.2e-11
+    assert m.dropped_rz_sum < 1e-12 * m.dropped_rz
 
 
 def test_native_depth_slope_brackets(u_gen):

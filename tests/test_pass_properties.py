@@ -12,8 +12,12 @@ to these tests names the parities with ids that are never reused, so it
 checks the lowering's recycled ids independently.  On random H, U2, CU2 and
 CX circuits, whose single-qubit runs merge, the lowering never spends more
 CX, SX and X than the gates lowered alone would; CX go only in cancelling
-pairs.
+pairs.  The commutation-aware scheduler emits the gate order of the
+reference scheduler in ``tests/oracles.py``, on random native lists and on
+what lowering hands it from the builds.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +25,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_route_properties import ANGLES, SETTINGS, annotated_builds, unannotated_circuits
 
+from qftmcu import layout
 from qftmcu.circuit import Circuit, Gate, cu2, cx, from_json, h, rz, to_json, u2, x
 from qftmcu.gate_algebra import root, u2_mat, zyz_decompose
-from qftmcu.layout import NATIVE_KINDS, lower_to_ngs, route_lnn
+from qftmcu.layout import NATIVE_KINDS, _commute_schedule, lower_to_ngs, route_lnn
 from qftmcu.optimizer import (
     cancel_cx_pairs,
     cancel_x_pair,
@@ -32,6 +37,7 @@ from qftmcu.optimizer import (
     merge_phase_columns,
 )
 from qftmcu.verifier import circuit_unitary
+from tests.oracles import heap_commute_schedule
 
 
 def _apply(rewrite, circ):
@@ -167,6 +173,52 @@ def test_phase_folding_recycles_ids_exactly():
     assert np.abs(got - circuit_unitary(circ)).max() < 1e-10
     assert _one_rz_per_parity(nc)
     assert sum(g.kind == "Rz" for g in nc.gates) < sum(g.kind == "Rz" for g in gates)
+
+
+@st.composite
+def native_lists(draw):
+    """{CX, Rz, SX, X} on 2-6 wirelines, the CX drawn from up to three
+    wireline pairs: many gates tie on their start, and several ready gates
+    share one wire tuple (Rz runs on a wire, CX with a common control or a
+    common target)."""
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["CX", "CX", "Rz", "Rz", "SX", "X"]), max_size=60)):
+        if kind == "CX":
+            c, t = draw(st.sampled_from(pairs))[:2]
+            gates.append(cx(c, t))
+        else:
+            w = draw(st.integers(1, n))
+            gates.append(rz(draw(ANGLES), w) if kind == "Rz" else Gate(kind, w))
+    return gates, n
+
+
+def _same_order_as_reference(gates, n) -> bool:
+    # By identity: equal gates (two CX on one pair) must not trade places.
+    got = _commute_schedule(gates, n)
+    return [id(g) for g in got] == [id(g) for g in heap_commute_schedule(gates, n)]
+
+
+@SETTINGS
+@given(native_lists())
+def test_scheduler_emits_the_reference_order_on_native_lists(case):
+    assert _same_order_as_reference(*case)
+
+
+@pytest.mark.parametrize("routed", [False, True], ids=["fc", "lnn"])
+@SETTINGS
+@given(circ=annotated_builds())
+def test_scheduler_emits_the_reference_order_on_lowered_builds(routed, circ):
+    seen = []
+
+    def checking(gates, n):
+        seen.append(_same_order_as_reference(gates, n))
+        return _commute_schedule(gates, n)
+
+    with mock.patch.object(layout, "_commute_schedule", checking):
+        lower_to_ngs(route_lnn(circ) if routed else circ)
+    assert seen == [True]
 
 
 @SETTINGS
