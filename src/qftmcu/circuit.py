@@ -55,6 +55,10 @@ class Gate(_GateFields):
     the checks of ``__new__``.  A gate compares and hashes as the tuple of
     its fields.  Code that keeps plain tuples beside gates in one list tells
     them apart by ``g.__class__ is tuple``, since a gate is a tuple too.
+    Since a gate cannot change, one record may stand for many equal gates:
+    ``lower_to_ngs`` emits a shared record for every equal CX, SX and X.
+    Code that tells equal gates apart by identity copies them first
+    (``g._replace()``).
     """
 
     __slots__ = ()

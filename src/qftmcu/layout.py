@@ -938,11 +938,14 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     the runs between them.  So each wire tuple queues its ready gates
     first-in first-out, and one heap holds a ``start << shift | index`` key
     for the head of every non-empty queue.  Starts only grow (``avail`` is
-    monotone), so a key's start is a lower bound: a popped key whose start
-    moved on is pushed back with the new one, and a popped key whose start
-    still holds is the least ``(start, index)`` over all ready gates -- the
-    gate a scan of the whole ready list would emit.  Each emission costs
-    O(log m) heap work instead of an O(|ready|) scan.
+    monotone), so a key's start is a lower bound: a least key whose start
+    moved on is replaced by one with the new start, and a least key whose
+    start still holds is the least ``(start, index)`` over all ready gates
+    -- the gate a scan of the whole ready list would emit; its key is then
+    replaced by that of the next gate in its queue, if any.  Each emission
+    costs O(log m) heap work instead of an O(|ready|) scan.  The queues sit
+    in a list, at ``t`` for a gate on one wireline and at ``c * (n + 1) + t``
+    for a CX.
     """
     m = len(gates)
     shift = m.bit_length()
@@ -954,13 +957,14 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     bounds: list[list[int]] = [[] for _ in range(n + 1)]
     z_basis: list[bool | None] = [None] * (n + 1)  # the basis of the current run
     queue_of: list = [None] * m  # the queue of each gate's wire tuple
-    queues: dict[tuple[int | None, int], deque[int]] = {}
+    queues: list[deque[int] | None] = [None] * (n + 1) ** 2
     heap: list[int] = []
     for i, g in enumerate(gates):
         t, c = g.target, g.control
-        queue = queues.get((c, t))
+        key = t if c is None else c * (n + 1) + t
+        queue = queues[key]
         if queue is None:
-            queue = queues[c, t] = deque()
+            queue = queues[key] = deque()
         queue_of[i] = queue
         deg = 0
         if c is not None:
@@ -994,7 +998,7 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
         bnd += (len(on), len(on))  # so run k + 1 is on[bnd[k + 1]:bnd[k + 2]], maybe empty
         left.append([hi - lo for lo, hi in zip(bnd, bnd[1:])])
     avail = [0] * (n + 1)
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
     order: list[Gate] = []
 
     def release(w: int, k: int) -> None:
@@ -1015,7 +1019,7 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
                 push(heap, now << shift | i)
 
     while heap:
-        key = pop(heap)
+        key = heap[0]
         best = key & mask
         start = key >> shift
         g = gates[best]
@@ -1024,7 +1028,7 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
         if c is not None and avail[c] > now:
             now = avail[c]
         if now != start:
-            push(heap, now << shift | best)
+            replace(heap, now << shift | best)
             continue
         queue = queue_of[best]
         queue.popleft()
@@ -1034,7 +1038,9 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
         if c is not None:
             avail[c] = start
         if queue:
-            push(heap, start << shift | queue[0])
+            replace(heap, start << shift | queue[0])
+        else:
+            pop(heap)
         k = run_t[best]
         runs = left[t]
         runs[k] -= 1
@@ -1084,12 +1090,21 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     the template phases are summed with ``math.fsum``, so the phase is
     correctly rounded.  The commutation-aware scheduler then reorders the
     gates.  A routed circuit's ``final_layout`` carries over.
+
+    Each call makes one validated ``Gate`` per wireline for SX and X, and
+    one per (target, control) pair for CX on first use, and emits those
+    shared records; only an Rz, which carries its angle, is made per gate.
     """
+    n = circ.n
     out: list = []
     reserved: list[int] = []
     terms: list[float] = []
-    runs: list[_Run | None] = [None] * (circ.n + 1)
+    runs: list[_Run | None] = [None] * (n + 1)
     frames: dict[int, tuple] = {}
+    # The shared records: SX and X by wireline, CX at t * row + c.
+    shared = {kind: [None] + [Gate(kind, q) for q in range(1, n + 1)] for kind in ("SX", "X")}
+    row = n + 1
+    cxs: list[Gate | None] = [None] * row * row
 
     def hold(q: int, kind: str, angle: float | None) -> None:
         run = runs[q]
@@ -1099,7 +1114,7 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
 
     def emit(q: int, kind: str, angle: float | None, sub: list) -> None:
         if kind != "Rz":
-            sub.append(Gate(kind, q))
+            sub.append(shared[kind][q])
         elif angle:
             sub.append((q, angle))
 
@@ -1151,7 +1166,10 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
                         flush(c)
                     if runs[t] is not None:
                         flush(t)
-                out.append(Gate("CX", t, c))
+                native = cxs[t * row + c]
+                if native is None:
+                    native = cxs[t * row + c] = Gate("CX", t, c)
+                out.append(native)
             elif kind == "phase":
                 terms.append(angle)
             elif kind == "frame":
@@ -1161,10 +1179,10 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
                 if watch and (source or runs[q] is not None):
                     hold(q, kind, angle)
                 elif kind != "Rz":
-                    out.append(Gate(kind, q))
+                    out.append(shared[kind][q])
                 elif angle:
                     out.append((q, angle))
-    for q in range(1, circ.n + 1):
+    for q in range(1, n + 1):
         if runs[q] is not None:
             flush(q)
     flat: list = []
@@ -1174,9 +1192,9 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
         flat += out[k]
         start = k + 1
     flat += out[start:]
-    parities = _Parities(circ.n)
-    lowered = parities.fold(flat, _cancelling(flat, circ.n))
-    kept = _commute_schedule(lowered, circ.n)
+    parities = _Parities(n)
+    lowered = parities.fold(flat, _cancelling(flat, n))
+    kept = _commute_schedule(lowered, n)
     terms.append(math.pi * (parities.wraps % 2))
     phase = math.fmod(math.fsum(terms), TWO_PI)
     return NativeCircuit(

@@ -12,7 +12,6 @@ determinant-phase ladder is construction, and lives in :mod:`qftmcu.synthesis`.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import defaultdict
 
 from .circuit import (
@@ -246,51 +245,42 @@ def cancel_cx_pairs(circ: Circuit) -> Circuit:
     last scan changed: O(m) in all, plus sorting those gates.
     """
     gates = circ.gates
+    is_cx = [g.kind == "CX" for g in gates]
     # The live gates on each wire, doubly linked: node 2i is gate i on its
-    # target wire, node 2i + 1 gate i on its control wire.  The links sit in
-    # arrays, 8 bytes each, where a list would hold an int object per link.
-    after = array("q", [-1]) * (2 * len(gates))
-    before = array("q", after)
-    last: dict[int, int] = {}
+    # target wire, node 2i + 1 gate i on its control wire; -1 ends a list.
+    after = [-1] * (2 * len(gates))
+    before = after[:]
+    on: list[list[int]] = [[] for _ in range(circ.n + 1)]  # each wire's nodes
     for i, g in enumerate(gates):
-        for node, w in ((2 * i, g.target), (2 * i + 1, g.control)):
-            if w is not None:
-                prev = last.get(w, -1)
-                if prev >= 0:
-                    after[prev] = node
-                before[node] = prev
-                last[w] = node
-
-    def partner(i: int) -> int:
-        """The next gate on CX i's wires if it is the same CX, else -1."""
-        node = after[2 * i]
-        if (
-            node >= 0
-            and node % 2 == 0
-            and after[2 * i + 1] == node + 1
-            and gates[i].kind == "CX"
-            and gates[node // 2].kind == "CX"
-        ):
-            return node // 2
-        return -1
+        on[g.target].append(2 * i)
+        if g.control is not None:
+            on[g.control].append(2 * i + 1)
+    for nodes in on:
+        for a, b in zip(nodes, nodes[1:]):
+            after[a] = b
+            before[b] = a
 
     dead = bytearray(len(gates))
     scan = range(len(gates))
     while scan:
         moved: set[int] = set()
         for i in scan:
-            j = -1 if dead[i] else partner(i)
-            if j < 0:
+            # Cancel CX i with the next gate on its wires if that is the
+            # same CX: the next node on its target wire is a target node,
+            # and the next on its control wire is that gate's control node.
+            if dead[i] or not is_cx[i]:
                 continue
-            for k in (i, j):
-                dead[k] = 1
-                for node in (2 * k, 2 * k + 1):
-                    prev, nxt = before[node], after[node]
-                    if prev >= 0:
-                        after[prev] = nxt
-                        moved.add(prev // 2)
-                    if nxt >= 0:
-                        before[nxt] = prev
+            node = after[2 * i]
+            if node < 0 or node & 1 or after[2 * i + 1] != node + 1 or not is_cx[node >> 1]:
+                continue
+            dead[i] = dead[node >> 1] = 1
+            for v in (2 * i, 2 * i + 1, node, node + 1):
+                prev, nxt = before[v], after[v]
+                if prev >= 0:
+                    after[prev] = nxt
+                    moved.add(prev >> 1)
+                if nxt >= 0:
+                    before[nxt] = prev
         scan = sorted(moved)
     kept = [g for g, gone in zip(gates, dead) if not gone]
     return Circuit(circ.n, kept, final_layout=circ.final_layout)

@@ -617,6 +617,8 @@ def _reference_schedule(gates, n):
 
 
 def _assert_schedules_like_reference(gates, n):
+    # By identity, on copies: lowering shares one record among equal gates.
+    gates = [g._replace() for g in gates]
     got = _commute_schedule(gates, n)
     assert [id(g) for g in got] == [id(g) for g in _reference_schedule(gates, n)]
 
@@ -847,7 +849,24 @@ def test_metrics_fields(u_gen):
     assert m.model_cx == 48
     assert m.cx_deviation == pytest.approx((m.counts["CX"] - 48) / 48)
     assert m.cx_deviation == 0
-    assert m.cx_cancellable >= 0
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+@pytest.mark.parametrize("method", METHODS)
+def test_lowering_shares_native_records_and_leaves_no_cx_pair(method, arch, u_gen):
+    nc = synth_native(SynthConfig(method, 7, None if method == "mcx-qft" else u_gen), arch)
+    # Equal CX, SX and X are one record; only an Rz, with its angle, is its own.
+    shared = {}
+    for g in nc.gates:
+        if g.kind != "Rz":
+            assert shared.setdefault(g, g) is g, g
+    assert len(shared) < sum(g.kind != "Rz" for g in nc.gates)
+    assert native_metrics(nc).cx_cancellable == 0
+    # A CX pair appended cancels, and so does a pair nested around it.
+    a, b = cx(1, 2), cx(2, 3)
+    for tail, want in (([a, a], 2), ([a, b, b, a], 4)):
+        grown = NativeCircuit(nc.n, nc.gates + tail, final_layout=nc.final_layout)
+        assert native_metrics(grown).cx_cancellable == want, tail
 
 
 def test_metrics_empty_circuit():

@@ -228,6 +228,9 @@ def _reference_cancel(gates):
 
 
 def _assert_cancels_like_reference(circ):
+    # By identity, on copies: lowering shares one record among equal CX, so
+    # keeping the other one of two equal CX would go unseen on its output.
+    circ = Circuit(circ.n, [g._replace() for g in circ.gates])
     out = cancel_cx_pairs(circ)
     want = _reference_cancel(circ.gates)
     assert [id(g) for g in out.gates] == [id(g) for g in want]

@@ -196,6 +196,9 @@ def native_lists(draw):
 
 def _same_order_as_reference(gates, n) -> bool:
     # By identity: equal gates (two CX on one pair) must not trade places.
+    # Lowering emits one shared record for equal CX, SX and X, so each gate
+    # is copied first, or a swap of two equal gates would go unseen.
+    gates = [g._replace() for g in gates]
     got = _commute_schedule(gates, n)
     return [id(g) for g in got] == [id(g) for g in heap_commute_schedule(gates, n)]
 
