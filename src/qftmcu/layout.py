@@ -262,15 +262,14 @@ def _parity_walk(line: _Line, gates: list[Gate], i: int) -> int | None:
     identity.  Between them the wirelines hold parities of the values the
     logical wirelines hold there.  A CX between the halves only renames
     those values, and costs nothing.  An X goes before the block when the
-    qft half has no gate on its wireline, after it when the iqft half has
-    none (so mcx-qft keeps one X per block), and otherwise on every
-    wireline whose parity holds its value; an X before the block that meets
-    the same X ending the routed gates so far (mcx-qft's -1 block after its
-    +1 block) cancels with it.  Neighbour SWAPs then take the
-    row from where the qft half ends to where the mirror starts (one SWAP
-    after a CX(1, 2), none otherwise); a block whose seam is no permutation
-    is not taken.  The whole block acts on wirelines 1..k, which must sit
-    at home.
+    qft half has no gate on its wireline and after it when the iqft half
+    has none (so mcx-qft keeps one X per block); an X before the block that
+    meets the same X ending the routed gates so far (mcx-qft's -1 block
+    after its +1 block) cancels with it.  Neighbour SWAPs then take the row
+    from where the qft half ends to where the mirror starts (one SWAP after
+    a CX(1, 2), none otherwise).  A block with any other X in its seam, or
+    whose seam is no permutation, is not taken.  The whole block acts on
+    wirelines 1..k, which must sit at home.
     """
     block = gates[i].block
     j = _run_end(gates, i, "qft", block)
@@ -309,7 +308,6 @@ def _parity_walk(line: _Line, gates: list[Gate], i: int) -> int | None:
 
     renames = any(g.kind == "CX" for g in seam)
     before: list[Gate] = []
-    flips: list[Gate] = []
     after: list[Gate] = []
     for g in seam:
         if any(w > k for w in g.wires()) or g.kind not in ("CX", "X"):
@@ -324,8 +322,7 @@ def _parity_walk(line: _Line, gates: list[Gate], i: int) -> int | None:
         elif not renames and g.target not in touched(back):
             after.append(g)
         else:
-            held = value(g.target)
-            flips += [Gate("X", w, None, (), g.block, g.role) for w in range(1, k + 1) if par[w] & held]
+            return None
     if sorted(par) != sorted(want):
         return None
     swaps: list[Gate] = []
@@ -342,7 +339,6 @@ def _parity_walk(line: _Line, gates: list[Gate], i: int) -> int | None:
         else:
             line.out.append(g)
     line.out += out
-    line.out += flips
     line.out += swaps
     line.out += reversed(mirror)
     line.out += after
@@ -669,8 +665,7 @@ class _Parities:
     puts a fresh variable on its wireline (``fresh``).  An Rz(a) on a parity
     with constant 1 is an Rz(-a) on the parity without it, so ``rot`` keys a
     parity by its variables (``p >> 1``) and keeps [angle sum in that frame,
-    rank, position, wireline, constant, pair] of the slot chosen for its one
-    Rz.
+    rank, position, wireline, constant] of the slot chosen for its one Rz.
 
     A wireline holds one parity from one X-basis gate on it (CX target, SX,
     X) to the next: an interval, in which an Rz of that parity commutes with
@@ -680,12 +675,12 @@ class _Parities:
     list-ASAP and ranks each interval as it closes: 2 when the wireline
     idles for two layers or more in it, 1 when it idles less, and 0 when it
     lies between the two CX of a pair that would cancel with nothing
-    between them (``_cancelling``; ``pair`` is the innermost such pair),
-    since an Rz there keeps the pair.  Each parity takes the latest interval
-    of its highest rank, and its Rz goes in the slot ``fold`` leaves right
-    before the gate that closes it (in ``out``).  One idle layer in list
-    order is often one the commutation-aware scheduler fills, so it does not
-    rank 2.
+    between them (``_cancelling``), since an Rz there keeps the pair.  Each
+    parity takes the latest interval of its highest rank, and its Rz goes in
+    the slot ``fold`` leaves right before the gate that closes it (in
+    ``out``).  One idle layer in list order is often one the
+    commutation-aware scheduler fills, so it does not rank 2.  ``fold``
+    only places the Rz; ``_cancelling`` then decides which pairs go.
     """
 
     def __init__(self, n: int) -> None:
@@ -699,7 +694,6 @@ class _Parities:
         self.dropped = 0  # nonzero sums within 1e-12 of a full turn, left out
         self.dropped_sum = 0.0  # their summed |angle|
         self.out: list[Gate | None] = []  # gates, a slot before each that closes an interval
-        self.kept: list[int] = []  # pairs an Rz was placed between
 
     def fresh(self) -> int:
         """The bit of an unused variable id.
@@ -735,33 +729,24 @@ class _Parities:
         angle) steps) into one Rz per parity, choose its slot, and return the
         gates with the Rz placed.  ``pairs`` marks the two CX of each pair
         that cancels once nothing sits between them (``_cancelling``); an
-        interval inside such a pair on its wireline ranks 0.  A pair an Rz
-        is placed between stays, and so do the pairs around it; the others
-        are dropped."""
+        interval inside such a pair on its wireline ranks 0."""
         par, rot, fresh = self.par, self.rot, self.fresh
         n = self.n
         out = self.out
         avail = [0] * (n + 1)  # list-ASAP: when each wireline is next free
         opened = [0] * (n + 1)  # when the wireline's interval opened
         busy = [0] * (n + 1)  # gates on the wireline since (CX controls)
-        # A pair is named by the place of its first CX in ``out``.
-        inside: list[list[int]] = [[] for _ in range(n + 1)]  # pairs open around here
-        around: dict[int, list[int]] = {}  # pair -> the pairs open around it
-        second: dict[int, int] = {}  # pair -> the place of its second CX
+        inside = [0] * (n + 1)  # pairs open around here
 
         def close(w: int, end: int) -> None:
             # The interval's slot is the next place in ``out``.
             p = par[w]
-            open_pairs = inside[w]
-            if open_pairs:
-                rank, inner = 0, open_pairs[-1]
-            else:
-                rank, inner = 2 if end - opened[w] > busy[w] + 1 else 1, -1
+            rank = 0 if inside[w] else 2 if end - opened[w] > busy[w] + 1 else 1
             entry = rot.get(p >> 1)
             if entry is None:
-                rot[p >> 1] = [0.0, rank, len(out), w, p & 1, inner]
+                rot[p >> 1] = [0.0, rank, len(out), w, p & 1]
             elif rank >= entry[1]:
-                entry[1:] = rank, len(out), w, p & 1, inner
+                entry[1:] = rank, len(out), w, p & 1
             out.append(None)
 
         for g, mark in zip(gates, pairs):
@@ -772,7 +757,7 @@ class _Parities:
                     angle = -angle
                 entry = rot.get(p >> 1)
                 if entry is None:
-                    rot[p >> 1] = [angle, -1, -1, w, 0, -1]
+                    rot[p >> 1] = [angle, -1, -1, w, 0]
                 else:
                     entry[0] += angle
                 continue
@@ -790,14 +775,10 @@ class _Parities:
             avail[c] = start + 1
             busy[c] += 1
             par[t] ^= par[c]
-            if mark == 1:
-                if inside[t] or inside[c]:
-                    around[len(out) - 1] = [inside[w][-1] for w in (t, c) if inside[w]]
-                inside[t].append(len(out) - 1)
-                inside[c].append(len(out) - 1)
-            elif mark:
-                inside[c].pop()
-                second[inside[t].pop()] = len(out) - 1
+            if mark:
+                step = 1 if mark == 1 else -1  # into a pair or out of it
+                inside[t] += step
+                inside[c] += step
         end = max(avail)
         for w in range(1, n + 1):
             close(w, end)
@@ -805,13 +786,6 @@ class _Parities:
             if entry[0]:
                 self.place(entry)
         rot.clear()
-        kept = self.kept
-        while kept:
-            j = kept.pop()
-            if second.pop(j, None) is not None:
-                kept += around.get(j, ())
-        for j, k in second.items():
-            out[j] = out[k] = None
         return [g for g in out if g is not None]
 
     def place(self, entry: list) -> None:
@@ -819,14 +793,12 @@ class _Parities:
         nothing, and its full turns go to ``wraps``.  A sum within 1e-12 of
         a full turn but not on it is rounding noise of the folded terms; it
         is left out too, and counted in ``dropped`` and ``dropped_sum``."""
-        angle, rank, slot, w, neg, inner = entry
+        angle, _, slot, w, neg = entry
         a = normalize_angle(angle)
         if a != angle:
             self.wraps += round((angle - a) / TWO_PI)
         if abs(a) > 1e-12:
             self.out[slot] = Gate("Rz", w, None, (-a if neg else a,))
-            if rank == 0:
-                self.kept.append(inner)
         elif a:
             self.dropped += 1
             self.dropped_sum += abs(a)
@@ -837,7 +809,8 @@ def _cancelling(gates: list, n: int) -> bytearray:
     2 on the second.  Two equal CX cancel when every gate between them on
     their wirelines cancels too.  Each wireline stacks its gates that are
     left; a CX whose two wirelines have the same gate on top, the same CX,
-    pops it.  Steps that are tuples (Rz still to be placed) are skipped."""
+    pops it.  Steps that are tuples (Rz still to be placed) are skipped.
+    Lowering drops the pairs it marks on the list with the Rz placed."""
     stacks: list[list[int]] = [[] for _ in range(n + 1)]
     pairs = bytearray(len(gates))
     for i, g in enumerate(gates):
@@ -1079,17 +1052,18 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
     sum's phase, and the terms on one parity add up, wherever they sit (Amy,
     Maslov & Mosca, IEEE TCAD 33:1476, 2014; Nam et al.).  So every parity
     keeps one Rz, the sum of its angles, in an interval of a wireline
-    holding it that list order leaves idle, if it has one, and never
-    between two equal CX that would otherwise cancel (see ``_Parities``).  Then every CX pair with nothing left
-    between them on their wirelines cancels, cascading (``_cancelling``):
-    on the line, where the walk's chains out of and into difference form
-    meet between two blocks, that is 2(k - 2) CX for a seam of width k.
-    This is exact for every circuit.  A sum that vanishes is dropped, and
-    so is one within 1e-12 of it (counted in ``dropped_rz``), and
-    full turns fold into the phase (Rz(2 pi) = -1) as an integer parity;
-    the template phases are summed with ``math.fsum``, so the phase is
-    correctly rounded.  The commutation-aware scheduler then reorders the
-    gates.  A routed circuit's ``final_layout`` carries over.
+    holding it that list order leaves idle, if it has one, and if it can,
+    not between two CX that would cancel without it (see ``_Parities``).
+    Then every CX pair that ``_cancelling`` marks on the list with the Rz
+    placed, nothing left between them on their wirelines, is dropped: on
+    the line, where the walk's chains out of and into difference form meet
+    between two blocks, that is 2(k - 2) CX for a seam of width k.  This is
+    exact for every circuit.  A sum that vanishes is dropped, and so is one
+    within 1e-12 of it (counted in ``dropped_rz``), and full turns fold
+    into the phase (Rz(2 pi) = -1) as an integer parity; the template
+    phases are summed with ``math.fsum``, so the phase is correctly
+    rounded.  The commutation-aware scheduler then reorders the gates.  A
+    routed circuit's ``final_layout`` carries over.
 
     Each call makes one validated ``Gate`` per wireline for SX and X, and
     one per (target, control) pair for CX on first use, and emits those
@@ -1193,7 +1167,8 @@ def lower_to_ngs(circ: Circuit) -> NativeCircuit:
         start = k + 1
     flat += out[start:]
     parities = _Parities(n)
-    lowered = parities.fold(flat, _cancelling(flat, n))
+    placed = parities.fold(flat, _cancelling(flat, n))
+    lowered = [g for g, m in zip(placed, _cancelling(placed, n)) if not m]
     kept = _commute_schedule(lowered, n)
     terms.append(math.pi * (parities.wraps % 2))
     phase = math.fmod(math.fsum(terms), TWO_PI)
@@ -1236,7 +1211,7 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
 
 
 def native_metrics(nc: NativeCircuit) -> NativeMetrics:
-    """Depth/count summary plus comparison against the closed-form models."""
+    """Depth/count summary plus deviations from the closed-form models, where nonzero."""
     counts = nc.counts()
     depth = nc.depth()
     md = model_depth(nc.method, nc.n, nc.arch) if nc.method else None
@@ -1245,9 +1220,9 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
         depth=depth,
         counts=counts,
         model_depth=md,
-        depth_deviation=None if md is None else (depth - md) / md,
+        depth_deviation=None if not md else (depth - md) / md,
         model_cx=mc,
-        cx_deviation=None if mc is None else (counts["CX"] - mc) / mc,
+        cx_deviation=None if not mc else (counts["CX"] - mc) / mc,
         cx_cancellable=len(nc.gates) - len(cancel_cx_pairs(nc).gates),
         dropped_rz=nc.dropped_rz,
         dropped_rz_sum=nc.dropped_rz_sum,
@@ -1271,17 +1246,18 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
 # for even n and 20n-34 for odd n (n = 5..40), and mcu-mod, its roots
 # lowered in the payload's eigenbasis, to 20n-45 for even n and 20n-46 for
 # odd n (n = 5..40); on the line, to 26n-46 and 26n-59 (n = 6..32).  The
-# metrics report deviations against all of them.
+# metrics report deviations against all of them.  Two wirelines are
+# neighbours, so at n = 2 the line routes nothing and its models are FC's.
 
 def model_depth(method: str, n: int, arch: str = "fc") -> int | None:
     if method == "mcu-mod":
         d = 34 * n - 56
-        if arch == "lnn":
+        if arch == "lnn" and n > 2:
             d += 24 * n - 64
         return d
     if method == "mcu-zyz":
         d = 32 * n - 44
-        if arch == "lnn":
+        if arch == "lnn" and n > 2:
             d += 24 * n - 52
         return d
     return None
@@ -1309,7 +1285,7 @@ def _walked_blocks(method: str, n: int) -> list[tuple[int, int, int]]:
 
 
 def model_swaps(method: str, n: int) -> int:
-    """SWAPs the router inserts (n >= 4).
+    """SWAPs the router inserts.
 
     ldd takes the swap walk: each half of a block on k wirelines has stages
     k..3, and stage t passes its t-1 lower wirelines: k(k-1)/2 - 1 swaps a
@@ -1317,17 +1293,19 @@ def model_swaps(method: str, n: int) -> int:
     its t-1 lower wirelines, and stage 2 passes nothing, so a half steps
     k(k-1)/2 - 1 times; each step is a CX and a SWAP, but for the step that
     holds the next stage's CX (one per stage but the last: k - s), which is
-    three CX.  The SWAPs between the halves come on top.
+    three CX.  The SWAPs between the halves come on top.  A block on two
+    wirelines inserts none.
     """
     if method == "ldd":
         return sum(k * (k - 1) - 2 for k in (n, n - 1))
     return sum(
-        2 * (k * (k - 1) // 2 - 1 - (k - last)) + seam for k, last, seam in _walked_blocks(method, n)
+        2 * (k * (k - 1) // 2 - 1 - (k - last)) + seam
+        for k, last, seam in _walked_blocks(method, n) if k > 2
     )
 
 
 def model_cx(method: str, n: int, arch: str = "fc") -> int:
-    if arch == "fc":
+    if arch == "fc" or n == 2:
         return _lowered_count(method, n, "CX")
     if method == "ldd":
         # Every controlled gate passes its control, and lowers with that SWAP,
@@ -1355,8 +1333,8 @@ def model_cx(method: str, n: int, arch: str = "fc") -> int:
     # Where the blocks meet, the first block's mirror ends on its chain out
     # of difference form, CX(c + 1 -> c) for c = 1..k - 2 top-down, and the
     # next block's first half starts on its chain into it, bottom-up.  Back
-    # to back, the chains cancel pairwise once lowering moves the one Rz
-    # between them (see ``_Parities``): the narrower block's k - 2 pairs.
+    # to back, the narrower block's k - 2 pairs cancel (``_cancelling``)
+    # once lowering places the one Rz between them elsewhere.
     # mcx-qft's X on wireline 1 between the blocks cancels first (see
     # ``_parity_walk``).
     return m - 2 * (min(k for k, _, _ in blocks) - 2) * _cost("CX", "CX")

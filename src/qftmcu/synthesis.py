@@ -348,6 +348,8 @@ def expected_counts(method: str, n: int) -> dict[str, int]:
     if method == "mcx-qft":
         return {"H": 4 * n - 6, "CP": (n - 1) ** 2 + (n - 2) ** 2, "X": 2}
     if method == "mcu-mod":
+        if n == 2:
+            return {"CU2": 1}  # the one root, u itself
         return {"H": 4 * (n - 3), "CP": 2 * (n - 1) * (n - 3), "CU2": 2 * n - 3, "CX": 2}
     if method == "mcu-zyz":
         return {

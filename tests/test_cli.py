@@ -201,6 +201,15 @@ def test_sweep_deterministic_and_ordered(tmp_path):
             assert depth["mcu-zyz"] < depth["ldd"], f"n={n}"
 
 
+@pytest.mark.parametrize("arch", ["fc", "lnn"])
+def test_sweep_and_metrics_run_from_two_wirelines(arch, capsys):
+    assert run("sweep", "--n", "2..4", "--arch", arch, "--format", "json") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {r["n"] for r in rows} == {2, 3, 4}
+    assert all(r["paper_depth_formula"] == "" or r["paper_depth_formula"] > 0 for r in rows)
+    assert run("metrics", "--method", "mcu-mod", "--n", "2", "--seed", "1", "--arch", arch) == 0
+
+
 def test_sweep_single_point(tmp_path):
     out = tmp_path / "s.csv"
     assert run("sweep", "--n", "6", "--methods", "mcu-zyz", "--seed", "1",

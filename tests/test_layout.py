@@ -250,6 +250,29 @@ def test_route_swap_counts_are_reported_not_forced(u_gen):
         assert _swaps(route_lnn(_unannotated(circ)).gates) == greedy
 
 
+@pytest.mark.parametrize("w", range(1, 7))
+def test_route_takes_the_swap_walk_for_a_block_with_an_x_in_its_seam(w, u_gen):
+    # An X between the halves, after mcu-mod's seam CX(1, 2), has no place
+    # in the parity walk, so the +1 block takes the swap walk, which keeps
+    # its CPs: the route stays adjacent and exact, and with the X doubled
+    # the MCU still verifies.
+    def plus_cps(c):
+        return sum(g.kind == "CP" and g.block == BLOCK_PLUS for g in c.gates)
+
+    circ = build(SynthConfig("mcu-mod", 6, u=u_gen))
+    at = next(i for i, g in enumerate(circ.gates) if g.kind == "CX") + 1
+    for reps in (1, 2):
+        gates = list(circ.gates)
+        gates[at:at] = [x(w, block=BLOCK_PLUS, role="column")] * reps
+        src = Circuit(6, gates)
+        routed = route_lnn(src)
+        assert plus_cps(routed) == plus_cps(src) > 0
+        assert all(g.control is None or abs(g.control - g.target) == 1 for g in routed.gates)
+        want = layout_permutation(routed.final_layout) @ circuit_unitary(src)
+        assert np.abs(circuit_unitary(routed) - want).max() < 1e-12, reps
+    assert verify_mcu(routed, u_gen).ok
+
+
 def test_layout_permutation_identity():
     assert np.array_equal(layout_permutation((1, 2, 3)), np.eye(8))
 
@@ -523,6 +546,18 @@ def test_lower_cancels_nested_cx_pairs():
     nc = _native_matches_source(circ)
     assert [g.kind for g in nc.gates] == ["Rz"]
     assert _rz_on(nc, 3) == [pytest.approx(0.6)]
+
+
+def test_lower_cancels_a_pair_the_placed_rz_leave_adjacent():
+    # Without its Rz the list pairs the 5th CX with the 1st, around the pair
+    # (2nd, 4th).  The Rz placed in that inner pair keeps both pairs, and so
+    # leaves the 5th and 6th CX equal neighbours: they cancel.
+    circ = Circuit(3, [
+        cx(3, 2), cx(1, 3), p(0.5, 3), cx(1, 3), cx(3, 2), cx(3, 2), cx(1, 2), p(1.3, 3),
+    ])
+    nc = _native_matches_source(circ)
+    assert nc.counts()["CX"] == 4
+    assert native_metrics(nc).cx_cancellable == 0
 
 
 def test_lower_placement_ignores_rz_steps_below_1e_12(u_gen):
@@ -812,6 +847,21 @@ def test_native_depth_stays_under_its_measured_ceiling(method, lnn_builds, u_gen
     for n in range(7, 33):
         assert synth_native(SynthConfig(method, n, u)).depth() <= fc(n), f"fc n={n}"
         assert lnn_builds[method, n].depth() <= line(n), f"lnn n={n}"
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_models_match_built_circuits_from_two_wirelines(arch, u_gen):
+    # On two wirelines the line routes nothing; no model goes negative, and
+    # every CX and swap model meets its build.
+    for method in METHODS:
+        for n in range(3 if method == "ldd" else 2, 15):
+            nc = synth_native(SynthConfig(method, n, None if method == "mcx-qft" else u_gen), arch)
+            assert nc.counts()["CX"] == model_cx(method, n, arch), f"{method} n={n}"
+            if arch == "lnn":
+                assert nc.swaps_inserted == model_swaps(method, n), f"{method} n={n}"
+            md = model_depth(method, n, arch)
+            assert md is None or md > 0, f"{method} n={n}"
+    assert native_metrics(synth_native(SynthConfig("mcu-mod", 2, u_gen), arch)).cx_deviation == 0
 
 
 def test_model_cx_follows_pinned_counts():

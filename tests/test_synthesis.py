@@ -175,6 +175,12 @@ def test_mod_counts_formula(n, u_gen):
     assert got == want
 
 
+def test_mod_counts_at_two_wirelines(u_gen):
+    # n = 2 is one root, CU(1 -> 2) = u, which the n >= 3 formula misses.
+    got = count_gates(build(SynthConfig("mcu-mod", 2, u=u_gen)))
+    assert got == expected_counts("mcu-mod", 2) == {"CU2": 1}
+
+
 def test_mod_restricted_to_z_is_controlled_z():
     for n in (3, 4, 5):
         got = circuit_unitary(build(SynthConfig("mcu-mod", n, u=Z)))
