@@ -18,7 +18,6 @@ logical gates, P gates, CX and SWAPs; lowering fuses a controlled gate
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -424,15 +423,16 @@ NATIVE_KINDS = ("CX", "Rz", "SX", "X")
 class NativeCircuit(Circuit):
     """A lowered circuit: a Circuit of native gates plus the exact global phase.
 
-    ``gates`` only ever holds CX, Rz, SX and X.  The provenance fields are
-    filled by :func:`synth_native` so that metrics can be compared against
-    the closed-form depth and count models.  ``dropped_rz`` counts the
-    folded Rz sums that lowering left out as rounding noise (nonzero, within
-    1e-12 of a full turn), and ``dropped_rz_sum`` adds up their |angle|.
+    ``gates`` only ever holds CX, Rz, SX and X.  :func:`synth_native` fills
+    the provenance fields, so metrics can be compared with the closed-form
+    models of a full build (none if ``aqft_cutoff`` is set).  ``dropped_rz``
+    counts the folded Rz sums that lowering left out as rounding noise
+    (nonzero, within 1e-12 of a full turn); ``dropped_rz_sum`` sums |angle|.
     """
 
     global_phase: float = 0.0
     method: str | None = None
+    aqft_cutoff: int | None = None
     arch: str = "fc"
     abstract_slots: int | None = None
     swaps_inserted: int = 0
@@ -905,24 +905,18 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     it each lose one.  That is the DAG with an edge from every gate of a
     run to every gate of the next, in O(1) per gate.
 
-    Ready gates on one wire tuple share a start time, and they become ready in
-    index order: whatever holds a gate back on one of its wirelines also
-    holds back every later gate on the same wirelines, directly or through
-    the runs between them.  So each wire tuple queues its ready gates
-    first-in first-out, and one heap holds a ``start << shift | index`` key
-    for the head of every non-empty queue.  Starts only grow (``avail`` is
-    monotone), so a key's start is a lower bound: a least key whose start
-    moved on is replaced by one with the new start, and a least key whose
-    start still holds is the least ``(start, index)`` over all ready gates
-    -- the gate a scan of the whole ready list would emit; its key is then
-    replaced by that of the next gate in its queue, if any.  Each emission
-    costs O(log m) heap work instead of an O(|ready|) scan.  The queues sit
-    in a list, at ``t`` for a gate on one wireline and at ``c * (n + 1) + t``
-    for a CX.
+    Ready gates on one wire tuple become ready in index order: whatever
+    holds a gate back on one of its wirelines also holds back every later
+    gate on the same wirelines, directly or through the runs between them.
+    So each wire tuple queues its ready gates first-in first-out, in a list
+    at ``t`` for a gate on one wireline and at ``c * (n + 1) + t`` for a CX.
+    Layer s takes the queue heads in index order and emits each whose
+    wirelines no earlier gate of the layer took.  Every head it is offered
+    can start at s: no wireline is busy past s, and a head that waited in
+    layer s - 1, or reached the front of its queue during it, shares a
+    wireline with a gate emitted there.  So this is least-(start, index) order.
     """
     m = len(gates)
-    shift = m.bit_length()
-    mask = (1 << shift) - 1
     indeg = [0] * m
     run_t = [0] * m  # the run of each gate on its target, and on its control
     run_c = [0] * m
@@ -931,7 +925,7 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
     z_basis: list[bool | None] = [None] * (n + 1)  # the basis of the current run
     queue_of: list = [None] * m  # the queue of each gate's wire tuple
     queues: list[deque[int] | None] = [None] * (n + 1) ** 2
-    heap: list[int] = []
+    fresh: list[int] = []  # the queue heads that join the next layer's offer
     for i, g in enumerate(gates):
         t, c = g.target, g.control
         key = t if c is None else c * (n + 1) + t
@@ -965,13 +959,12 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
         else:
             queue.append(i)  # ready at time 0
             if len(queue) == 1:
-                heap.append(i)  # ascending keys: a heap already
+                fresh.append(i)
     left: list[list[int]] = []  # per wireline, the gates of each run not yet emitted
     for on, bnd in zip(members, bounds):
         bnd += (len(on), len(on))  # so run k + 1 is on[bnd[k + 1]:bnd[k + 2]], maybe empty
         left.append([hi - lo for lo, hi in zip(bnd, bnd[1:])])
-    avail = [0] * (n + 1)
-    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    taken = [-1] * (n + 1)  # the last layer that emitted a gate on each wireline
     order: list[Gate] = []
 
     def release(w: int, k: int) -> None:
@@ -984,47 +977,37 @@ def _commute_schedule(gates: list[Gate], n: int) -> list[Gate]:
             queue = queue_of[i]
             queue.append(i)
             if len(queue) == 1:
-                g = gates[i]
-                t, c = g.target, g.control
-                now = avail[t]
-                if c is not None and avail[c] > now:
-                    now = avail[c]
-                push(heap, now << shift | i)
+                fresh.append(i)
 
-    while heap:
-        key = heap[0]
-        best = key & mask
-        start = key >> shift
-        g = gates[best]
-        t, c = g.target, g.control
-        now = avail[t]
-        if c is not None and avail[c] > now:
-            now = avail[c]
-        if now != start:
-            replace(heap, now << shift | best)
-            continue
-        queue = queue_of[best]
-        queue.popleft()
-        order.append(g)
-        start += 1
-        avail[t] = start
-        if c is not None:
-            avail[c] = start
-        if queue:
-            replace(heap, start << shift | queue[0])
-        else:
-            pop(heap)
-        k = run_t[best]
-        runs = left[t]
-        runs[k] -= 1
-        if not runs[k]:
-            release(t, k)
-        if c is not None:
-            k = run_c[best]
-            runs = left[c]
+    layer = 0
+    while fresh:
+        offer = sorted(fresh)
+        fresh.clear()
+        for i in offer:
+            g = gates[i]
+            t, c = g.target, g.control
+            if taken[t] == layer or (c is not None and taken[c] == layer):
+                fresh.append(i)
+                continue
+            order.append(g)
+            taken[t] = layer
+            queue = queue_of[i]
+            queue.popleft()
+            if queue:
+                fresh.append(queue[0])
+            k = run_t[i]
+            runs = left[t]
             runs[k] -= 1
             if not runs[k]:
-                release(c, k)
+                release(t, k)
+            if c is not None:
+                taken[c] = layer
+                k = run_c[i]
+                runs = left[c]
+                runs[k] -= 1
+                if not runs[k]:
+                    release(c, k)
+        layer += 1
     return order
 
 
@@ -1203,6 +1186,7 @@ def synth_native(cfg, arch: str = "fc") -> NativeCircuit:
         circ = route_lnn(circ)
     nc = lower_to_ngs(circ)
     nc.method = cfg.method
+    nc.aqft_cutoff = cfg.aqft_cutoff
     nc.arch = arch
     nc.abstract_slots = slots
     # A build holds no SWAP, so each SWAP is an inserted swap.
@@ -1214,8 +1198,9 @@ def native_metrics(nc: NativeCircuit) -> NativeMetrics:
     """Depth/count summary plus deviations from the closed-form models, where nonzero."""
     counts = nc.counts()
     depth = nc.depth()
-    md = model_depth(nc.method, nc.n, nc.arch) if nc.method else None
-    mc = model_cx(nc.method, nc.n, nc.arch) if nc.method else None
+    full = nc.method and nc.aqft_cutoff is None  # the models count full builds
+    md = model_depth(nc.method, nc.n, nc.arch) if full else None
+    mc = model_cx(nc.method, nc.n, nc.arch) if full else None
     return NativeMetrics(
         depth=depth,
         counts=counts,

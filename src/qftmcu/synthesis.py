@@ -121,8 +121,13 @@ def build_increment(k: int, *, block: str = BLOCK_PLUS) -> Circuit:
 
 
 def build_decrement(k: int, *, block: str = BLOCK_MINUS) -> Circuit:
-    """|a> -> |a-1 mod 2**k>; exact inverse of the increment, same block label."""
-    return inverse(build_increment(k, block=block))
+    """|a> -> |a-1 mod 2**k>; exact inverse of the increment, same block label.
+
+    The inverse of QFT, column, inverse QFT is QFT, inverted column, inverse
+    QFT: built that way, so the leading QFT is not inverted twice."""
+    head = build_qft(k, block=block)
+    column = inverse(Circuit(k, _phase_column(k, block)))
+    return Circuit(k, list(head.gates) + list(column.gates) + list(inverse(head).gates))
 
 
 # -- explicit determinant-phase ladder ------------------------------------------

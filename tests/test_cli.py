@@ -210,6 +210,22 @@ def test_sweep_and_metrics_run_from_two_wirelines(arch, capsys):
     assert run("metrics", "--method", "mcu-mod", "--n", "2", "--seed", "1", "--arch", arch) == 0
 
 
+@pytest.mark.parametrize("arch", ["fc", "lnn"])
+def test_aqft_builds_report_no_model(arch, capsys):
+    # The models count full builds: an AQFT build has fewer CP and roots.
+    flags = ("metrics", "--method", "mcu-mod", "--n", "8", "--seed", "1", "--arch", arch)
+    assert run(*flags, "--aqft", "3", "--format", "json") == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["aqft_cutoff"] == 3
+    assert row["paper_depth_formula"] == row["deviation"] == ""
+    assert run(*flags, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["paper_depth_formula"] == model_depth("mcu-mod", 8, arch)
+    assert run("sweep", "--n", "4..6", "--aqft", "3", "--arch", arch, "--format", "json") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 3 * 3
+    assert all(r["paper_depth_formula"] == r["deviation"] == "" for r in rows)
+
+
 def test_sweep_single_point(tmp_path):
     out = tmp_path / "s.csv"
     assert run("sweep", "--n", "6", "--methods", "mcu-zyz", "--seed", "1",

@@ -899,6 +899,10 @@ def test_metrics_fields(u_gen):
     assert m.model_cx == 48
     assert m.cx_deviation == pytest.approx((m.counts["CX"] - 48) / 48)
     assert m.cx_deviation == 0
+    nc = synth_native(SynthConfig("mcu-mod", 5, u=u_gen, aqft_cutoff=3))
+    m = native_metrics(nc)
+    assert nc.aqft_cutoff == 3
+    assert (m.model_depth, m.depth_deviation, m.model_cx, m.cx_deviation) == (None,) * 4
 
 
 @pytest.mark.parametrize("arch", ARCHES)

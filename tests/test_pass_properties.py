@@ -209,6 +209,17 @@ def test_scheduler_emits_the_reference_order_on_native_lists(case):
     assert _same_order_as_reference(*case)
 
 
+def test_scheduler_emits_the_reference_order_on_long_queues():
+    # Thousands of ready gates on a few wire tuples, which no drawn list
+    # reaches: 4,000 SX on wireline 1 then 3,000 CX onto it from wirelines
+    # 2-4, all ready at once; and 2,000 Rz on a CX control between two CX,
+    # where the second CX waits behind every Rz.
+    shared = [Gate("SX", 1) for _ in range(4000)] + [cx(2 + i % 3, 1) for i in range(3000)]
+    between = [cx(1, 2)] + [rz(0.1, 1) for _ in range(2000)] + [cx(1, 2)]
+    assert _same_order_as_reference(shared, 4)
+    assert _same_order_as_reference(between, 2)
+
+
 @pytest.mark.parametrize("routed", [False, True], ids=["fc", "lnn"])
 @SETTINGS
 @given(circ=annotated_builds())

@@ -4,7 +4,7 @@ frozen slot/count bookkeeping they are pinned to."""
 import numpy as np
 import pytest
 
-from qftmcu.circuit import Circuit, count_gates, cp, schedule_slots
+from qftmcu.circuit import BLOCK_MINUS, BLOCK_PLUS, Circuit, count_gates, cp, inverse, schedule_slots
 from qftmcu.gate_algebra import u2_mat
 from qftmcu.linalg import equal_up_to_global_phase
 from qftmcu.synthesis import (
@@ -65,6 +65,12 @@ def test_decrement_inverts_increment():
         ui = circuit_unitary(build_increment(k))
         ud = circuit_unitary(build_decrement(k))
         assert np.abs(ud @ ui - np.eye(1 << k)).max() < 1e-12
+
+
+@pytest.mark.parametrize("block", [BLOCK_PLUS, BLOCK_MINUS])
+def test_decrement_is_the_inverted_increment_gate_for_gate(block):
+    for k in range(1, 13):
+        assert build_decrement(k, block=block).gates == inverse(build_increment(k, block=block)).gates
 
 
 # -- config validation -------------------------------------------------------------
