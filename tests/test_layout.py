@@ -69,6 +69,7 @@ from qftmcu.synthesis import (
 )
 from qftmcu.verifier import circuit_unitary, verify_mcu
 from tests.conftest import generic_u
+from tests.oracles import heap_commute_schedule
 
 
 def _native_matches_source(circ, tol=1e-12):
@@ -611,51 +612,11 @@ def test_scheduler_is_deterministic(u_gen):
     assert a.global_phase == b.global_phase
 
 
-def _reference_schedule(gates, n):
-    """The O(m * |ready|) scan ``_commute_schedule`` replaced, kept as its
-    reference: same commutation DAG, and each step emits the ready gate with
-    the least (start, index), found by scanning the whole ready list."""
-    m = len(gates)
-    succs = [[] for _ in range(m)]
-    indeg = [0] * m
-    run = {}
-    for i, g in enumerate(gates):
-        for w in g.wires():
-            basis = "z" if g.kind == "Rz" or (g.kind == "CX" and w == g.control) else "x"
-            st = run.get(w)
-            if st is None:
-                run[w] = (basis, [i], [])
-            elif st[0] == basis:
-                for q in st[2]:
-                    succs[q].append(i)
-                    indeg[i] += 1
-                st[1].append(i)
-            else:
-                for q in st[1]:
-                    succs[q].append(i)
-                    indeg[i] += 1
-                run[w] = (basis, [i], st[1])
-    ready = [i for i in range(m) if indeg[i] == 0]
-    avail = [0] * (n + 1)
-    order = []
-    while ready:
-        start, best = min((max(avail[w] for w in gates[i].wires()), i) for i in ready)
-        ready.remove(best)
-        order.append(best)
-        for w in gates[best].wires():
-            avail[w] = start + 1
-        for s in succs[best]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-    return [gates[i] for i in order]
-
-
 def _assert_schedules_like_reference(gates, n):
     # By identity, on copies: lowering shares one record among equal gates.
     gates = [g._replace() for g in gates]
     got = _commute_schedule(gates, n)
-    assert [id(g) for g in got] == [id(g) for g in _reference_schedule(gates, n)]
+    assert [id(g) for g in got] == [id(g) for g in heap_commute_schedule(gates, n)]
 
 
 def test_scheduler_matches_reference_on_random_native_lists():

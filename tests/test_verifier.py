@@ -1,5 +1,7 @@
 """Oracles and simulators: the ground truth everything else is judged against."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +174,135 @@ def test_kernel_matches_reference_on_random_circuits():
             after_swap = after_swap or g.kind == "SWAP"
     want_seen = set(_PAYLOAD_KINDS) | {"SWAP", "control above", "control below", "after swap"}
     assert want_seen | {("n", n) for n in range(1, 7)} <= seen
+
+
+# -- the push split into parallel column blocks ------------------------------------
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """``blocks(w)`` makes every push split its columns as on w CPUs, at any
+    size, so a runner with one CPU runs the threaded path too."""
+
+    def split(workers):
+        monkeypatch.setattr(verifier, "_workers", lambda: workers)
+        monkeypatch.setattr(verifier, "_BLOCK_AMPLITUDES_LOG2", 0)
+
+    return split
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_blocks_are_bit_identical_to_one_block_on_random_circuits(workers, blocks):
+    # n >= 3: at n <= 2 a one-column block has one-amplitude slices, and numpy
+    # rounds an in-place product on a one-element array differently from a
+    # longer one.  A threaded push is far above that size.
+    rng = np.random.default_rng(21 + workers)
+    seen = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        for _ in range(60):
+            n = int(rng.integers(3, 8))
+            circ = Circuit(n, [_random_gate(rng, n) for _ in range(int(rng.integers(1, 30)))])
+            # 1..7 columns: fewer than the blocks, and counts they do not divide.
+            stack = rng.normal(size=(1 << n, int(rng.integers(1, 8)))) + 0j
+            blocks(1)
+            want = circuit_unitary(circ), apply_statevector(circ, stack)
+            blocks(workers)
+            got = circuit_unitary(circ), apply_statevector(circ, stack)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            for g in circ.gates:
+                if g.control is not None and g.kind != "SWAP":
+                    seen.add("control above" if g.control > g.target else "control below")
+                seen.add(g.kind)
+    finally:
+        sys.setswitchinterval(interval)
+    assert {"SWAP", "control above", "control below"} <= seen
+
+
+def test_blocks_split_the_columns_as_evenly_as_they_can(blocks, monkeypatch, u_gen):
+    circ = build(SynthConfig("mcu-zyz", 5, u=u_gen))
+    widths = []
+    kernel = verifier._apply
+
+    def recording(ops, tensor, scratch):
+        widths.append(tensor.shape[-1])
+        return kernel(ops, tensor, scratch)
+
+    def split(push, *args):
+        # The column counts of the push's blocks (run in any order).
+        widths.clear()
+        push(circ, *args)
+        return sorted(widths)
+
+    monkeypatch.setattr(verifier, "_apply", recording)
+
+    blocks(3)
+    assert split(circuit_unitary) == [10, 11, 11]
+    assert split(apply_statevector, np.ones((32, 5))) == [1, 2, 2]
+    assert split(apply_statevector, np.ones((32, 2))) == [1, 1]  # fewer columns than workers
+    assert split(apply_statevector, np.ones(32)) == [1]
+    # One CPU, or a push under twice the least block: one block, as before
+    # the split.
+    blocks(1)
+    assert split(circuit_unitary) == [32]
+    monkeypatch.setattr(verifier, "_workers", lambda: 4)
+    monkeypatch.setattr(verifier, "_BLOCK_AMPLITUDES_LOG2", 10)  # 32 x 32 = 2^10
+    assert split(circuit_unitary) == [32]
+    # More CPUs than least blocks fit: as many blocks as fit, none smaller.
+    monkeypatch.setattr(verifier, "_BLOCK_AMPLITUDES_LOG2", 9)
+    assert split(circuit_unitary) == [16, 16]
+    monkeypatch.setattr(verifier, "_BLOCK_AMPLITUDES_LOG2", 8)
+    assert split(circuit_unitary) == [8, 8, 8, 8]
+    assert split(apply_statevector, np.ones((32, 12))) == [12]  # 384 < 2 x 2^8
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_blocks_keep_statevector_inputs_and_results(workers, blocks, u_gen):
+    circ = route_lnn(build(SynthConfig("mcu-mod", 6, u=u_gen)))
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(64, 5)) + 1j * rng.normal(size=(64, 5))
+    psi = stack[:, 0].copy()
+    kept = stack.copy(), psi.copy()
+    blocks(1)
+    want = apply_statevector(circ, stack), apply_statevector(circ, psi)
+    blocks(workers)
+    got = apply_statevector(circ, stack), apply_statevector(circ, psi)
+    assert got[0].shape == (64, 5) and got[1].shape == (64,)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(stack, kept[0]) and np.array_equal(psi, kept[1])
+
+
+@pytest.mark.parametrize("n", [6, 13])
+def test_blocks_verify_a_routed_build_identically(n, blocks, u_gen):
+    nc = synth_native(SynthConfig("mcu-mod", n, u=u_gen), arch="lnn")
+    assert nc.swaps_inserted > 0
+    routed = route_lnn(build(SynthConfig("ldd", n, u=u_gen)))
+    blocks(1)
+    want = verify_mcu(nc, u_gen), verify_mcu(routed, u_gen)
+    assert want[0].ok and want[1].ok
+    for workers in (2, 3):
+        blocks(workers)
+        assert (verify_mcu(nc, u_gen), verify_mcu(routed, u_gen)) == want
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_block_that_raises_fails_the_push(where, blocks, monkeypatch, u_gen):
+    kernel = verifier._apply
+
+    def failing(ops, tensor, scratch):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise RuntimeError(f"{where} block failed")
+        return kernel(ops, tensor, scratch)
+
+    monkeypatch.setattr(verifier, "_apply", failing)
+    blocks(2)
+    running = threading.active_count()
+    circ = build(SynthConfig("mcu-mod", 5, u=u_gen))
+    with pytest.raises(RuntimeError, match=f"{where} block failed"):
+        circuit_unitary(circ)
+    with pytest.raises(RuntimeError, match=f"{where} block failed"):
+        verify_mcu(circ, u_gen)
+    assert threading.active_count() == running  # every worker was joined
 
 
 # -- apply_statevector ----------------------------------------------------------
